@@ -16,6 +16,7 @@
 #include "sparse/bucketed.hpp"
 #include "sparse/csc.hpp"
 #include "sparse/csr.hpp"
+#include "sparse/io_svmlight.hpp"
 
 namespace tpa::data {
 
@@ -35,21 +36,42 @@ struct PaperScale {
 /// copy, its bucketed layout and the column norms — the layout the
 /// out-of-core store uses for its resident shards, where only dual
 /// (by-example) access exists and the column copy would inflate the
-/// per-shard memory budget ~2x.  Primal-formulation paths (by_col,
-/// bucketed_cols, col_squared_norms) must not be used on a rows-only
-/// dataset: they return empty views.
-enum class DatasetLayout { kFull, kRowsOnly };
+/// per-shard memory budget ~2x.  kCsrOnly keeps just the CSR rows and the
+/// labels (no bucketed layout, no norms): what the out-of-core gap pass
+/// reads.  Paths that need a skipped part (by_col, bucketed_cols,
+/// col_squared_norms on rows-only; bucketed_rows and row_squared_norms as
+/// well on CSR-only) must not be used: they return empty views.
+enum class DatasetLayout { kFull, kRowsOnly, kCsrOnly };
+
+/// The heap arrays of a retired Dataset's row side, handed to the next
+/// build so it reuses their capacity instead of faulting in fresh pages
+/// (the out-of-core prefetch pipeline recycles shards this way).
+struct RowBuffers {
+  sparse::LabeledMatrix rows;  // CSR arrays and labels
+  sparse::BucketedLayout bucketed;
+  std::vector<double> norms;
+};
 
 class Dataset {
  public:
   Dataset() = default;
 
   /// Builds from a row-oriented matrix and labels (one per row); the
-  /// column-oriented copy is derived unless `layout` is kRowsOnly.  Throws
-  /// std::invalid_argument on a label count mismatch.
+  /// column-oriented copy is derived only for kFull.  Throws
+  /// std::invalid_argument on a label count mismatch.  Only kFull uses a
+  /// thread pool for the norms: a rows-only build is one out-of-core
+  /// shard, too small to pay for spawning a pool per load.
   Dataset(std::string name, sparse::CsrMatrix by_row,
           std::vector<float> labels,
           DatasetLayout layout = DatasetLayout::kFull);
+  /// Same, building the row-side derived arrays (bucketed layout, norms)
+  /// into `reuse`'s capacity; `reuse.rows` is not read (it is meant to
+  /// have been spent on `by_row` and `labels` already).
+  Dataset(std::string name, sparse::CsrMatrix by_row,
+          std::vector<float> labels, DatasetLayout layout, RowBuffers reuse);
+
+  /// Moves the row-side arrays out for reuse, leaving an empty Dataset.
+  RowBuffers release() &&;
 
   const std::string& name() const noexcept { return name_; }
 

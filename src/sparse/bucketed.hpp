@@ -36,8 +36,14 @@ class BucketedLayout {
 
   /// Buckets the rows of a CSR matrix (dual-formulation coordinates).
   static BucketedLayout from_rows(const CsrMatrix& m);
+  /// Same, built in `reuse`'s storage (a retired layout of similar shape
+  /// lends its capacity); byte-identical to a fresh build.
+  static BucketedLayout from_rows(const CsrMatrix& m, BucketedLayout reuse);
   /// Buckets the columns of a CSC matrix (primal-formulation coordinates).
   static BucketedLayout from_cols(const CscMatrix& m);
+
+  /// Empties the layout, keeping its capacity for a later `reuse`.
+  void clear() noexcept;
 
   /// Number of coordinates (rows resp. columns of the source matrix).
   Index count() const noexcept { return static_cast<Index>(slots_.size()); }
@@ -80,6 +86,11 @@ class BucketedLayout {
   /// Total padded entries (>= source nnz; the padding overhead).
   std::size_t padded_nnz() const noexcept { return indices_.size(); }
 
+  /// The whole bucket-major storage, alignment gaps included (index 0,
+  /// value 0 in a gap).  padded(j) is a window into these.
+  std::span<const Index> storage_indices() const noexcept { return indices_; }
+  std::span<const Value> storage_values() const noexcept { return values_; }
+
   std::size_t memory_bytes() const noexcept {
     return indices_.size() * sizeof(Index) + values_.size() * sizeof(Value) +
            slots_.size() * sizeof(Slot) + order_.size() * sizeof(Index);
@@ -97,9 +108,11 @@ class BucketedLayout {
     std::size_t count = 0;
   };
 
-  /// Shared builder: `slice(j)` yields coordinate j's source view.
+  /// Shared builder: `slice(j)` yields coordinate j's source view; the
+  /// result is built in `layout`'s storage.
   template <typename SliceFn>
-  static BucketedLayout build(Index count, Index dim, const SliceFn& slice);
+  static BucketedLayout build(Index count, Index dim, const SliceFn& slice,
+                              BucketedLayout layout);
 
   std::vector<Slot> slots_;
   std::vector<Bucket> buckets_;

@@ -21,24 +21,33 @@ void validate_csr(Index rows, Index cols,
   if (row_offsets.front() != 0 || row_offsets.back() != values.size()) {
     throw std::invalid_argument("CsrMatrix: offset range does not match nnz");
   }
+  // All offsets first: once they are non-decreasing from 0 to nnz, every
+  // row range below lies inside the index array.
   for (Index r = 0; r < rows; ++r) {
     if (row_offsets[r] > row_offsets[r + 1]) {
       throw std::invalid_argument("CsrMatrix: row_offsets must be non-decreasing");
     }
-    Index prev = 0;
-    bool first = true;
-    for (Offset k = row_offsets[r]; k < row_offsets[r + 1]; ++k) {
-      const Index c = col_indices[k];
-      if (c >= cols) {
-        throw std::invalid_argument("CsrMatrix: column index out of range");
-      }
-      if (!first && c <= prev) {
-        throw std::invalid_argument(
-            "CsrMatrix: column indices within a row must strictly increase");
-      }
-      prev = c;
-      first = false;
+  }
+  // Strictly increasing within a row plus the last index < cols bounds
+  // every index.  Accumulating violations without branching keeps this
+  // pass cheap on every shard load.
+  bool out_of_range = false;
+  bool unordered = false;
+  for (Index r = 0; r < rows; ++r) {
+    const Offset begin = row_offsets[r];
+    const Offset end = row_offsets[r + 1];
+    if (begin == end) continue;
+    out_of_range |= col_indices[end - 1] >= cols;
+    for (Offset k = begin + 1; k < end; ++k) {
+      unordered |= col_indices[k] <= col_indices[k - 1];
     }
+  }
+  if (out_of_range) {
+    throw std::invalid_argument("CsrMatrix: column index out of range");
+  }
+  if (unordered) {
+    throw std::invalid_argument(
+        "CsrMatrix: column indices within a row must strictly increase");
   }
 }
 
@@ -68,6 +77,15 @@ SparseVectorView CsrMatrix::row(Index r) const {
 
 std::vector<double> CsrMatrix::row_squared_norms(util::ThreadPool* pool) const {
   std::vector<double> norms(rows_, 0.0);
+  row_squared_norms(norms, pool);
+  return norms;
+}
+
+void CsrMatrix::row_squared_norms(std::span<double> norms,
+                                  util::ThreadPool* pool) const {
+  if (norms.size() != rows_) {
+    throw std::invalid_argument("CsrMatrix: norms span must have rows entries");
+  }
   const auto run_rows = [&](std::size_t begin, std::size_t end) {
     for (std::size_t r = begin; r < end; ++r) {
       double acc = 0.0;
@@ -83,7 +101,6 @@ std::vector<double> CsrMatrix::row_squared_norms(util::ThreadPool* pool) const {
   } else {
     run_rows(0, norms.size());
   }
-  return norms;
 }
 
 Value CsrMatrix::at(Index r, Index c) const {
@@ -97,6 +114,17 @@ Value CsrMatrix::at(Index r, Index c) const {
 std::size_t CsrMatrix::memory_bytes() const noexcept {
   return row_offsets_.size() * sizeof(Offset) +
          col_indices_.size() * sizeof(Index) + values_.size() * sizeof(Value);
+}
+
+CsrArrays CsrMatrix::release() && {
+  CsrArrays arrays{std::move(row_offsets_), std::move(col_indices_),
+                   std::move(values_)};
+  rows_ = 0;
+  cols_ = 0;
+  row_offsets_.assign(1, 0);
+  col_indices_.clear();
+  values_.clear();
+  return arrays;
 }
 
 }  // namespace tpa::sparse

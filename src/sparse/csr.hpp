@@ -24,6 +24,15 @@ struct SparseVectorView {
   std::size_t nnz() const noexcept { return indices.size(); }
 };
 
+/// The three raw CSR arrays, as release() hands them back.  Decoders that
+/// rebuild a matrix of similar shape (the out-of-core shard loads) refill
+/// these in place, so a steady-state load reuses their capacity.
+struct CsrArrays {
+  std::vector<Offset> row_offsets;
+  std::vector<Index> col_indices;
+  std::vector<Value> values;
+};
+
 class CsrMatrix {
  public:
   CsrMatrix() = default;
@@ -55,12 +64,18 @@ class CsrMatrix {
   /// chunks — identical results, and the one-time precompute stops
   /// dominating small-epoch runs on wide datasets.
   std::vector<double> row_squared_norms(util::ThreadPool* pool = nullptr) const;
+  /// Same, into `out` (size rows()).
+  void row_squared_norms(std::span<double> out,
+                         util::ThreadPool* pool = nullptr) const;
 
   /// Dense value lookup (binary search within the row); 0 if absent.
   Value at(Index r, Index c) const;
 
   /// Estimated memory footprint in bytes (offsets + indices + values).
   std::size_t memory_bytes() const noexcept;
+
+  /// Moves the arrays out, leaving an empty 0 x 0 matrix.
+  CsrArrays release() &&;
 
  private:
   Index rows_ = 0;

@@ -1,17 +1,40 @@
 #include "sparse/io_binary.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
-#include <stdexcept>
+#include <limits>
 #include <vector>
 
 namespace tpa::sparse {
 namespace {
 
-constexpr char kMagic[4] = {'T', 'P', 'A', '1'};
+constexpr char kMagic[4] = {'T', 'P', 'A', '2'};
+constexpr char kRetiredMagic[4] = {'T', 'P', 'A', '1'};
+constexpr std::uint64_t kSaturated = std::numeric_limits<std::uint64_t>::max();
+
+// Copy and digest in cache-sized pieces, so each piece is still hot when the
+// digest reads it: one pass over memory instead of two.
+constexpr std::size_t kChunkBytes = std::size_t{1} << 16;
+
+std::uint64_t load_word(const unsigned char* p) noexcept {
+  std::uint64_t word;
+  std::memcpy(&word, p, sizeof(word));
+  return word;
+}
+
+std::uint64_t saturating_mul(std::uint64_t a, std::uint64_t b) noexcept {
+  std::uint64_t out;
+  return __builtin_mul_overflow(a, b, &out) ? kSaturated : out;
+}
+
+std::uint64_t saturating_add(std::uint64_t a, std::uint64_t b) noexcept {
+  std::uint64_t out;
+  return __builtin_add_overflow(a, b, &out) ? kSaturated : out;
+}
 
 void write_raw(std::ostream& out, const void* data, std::size_t bytes,
-               Fnv1a& checksum) {
+               WideFnv1a& checksum) {
   out.write(static_cast<const char*>(data),
             static_cast<std::streamsize>(bytes));
   if (!out) throw std::runtime_error("binary write failed");
@@ -19,22 +42,91 @@ void write_raw(std::ostream& out, const void* data, std::size_t bytes,
 }
 
 void read_raw(std::istream& in, void* data, std::size_t bytes,
-              Fnv1a& checksum) {
-  in.read(static_cast<char*>(data), static_cast<std::streamsize>(bytes));
-  if (static_cast<std::size_t>(in.gcount()) != bytes) {
-    throw std::runtime_error("binary read truncated");
+              WideFnv1a& checksum) {
+  auto* dst = static_cast<char*>(data);
+  for (std::size_t done = 0; done < bytes;) {
+    const std::size_t n = std::min(kChunkBytes, bytes - done);
+    in.read(dst + done, static_cast<std::streamsize>(n));
+    if (static_cast<std::size_t>(in.gcount()) != n) {
+      throw std::runtime_error("binary read truncated");
+    }
+    checksum.update(dst + done, n);
+    done += n;
   }
-  checksum.update(data, bytes);
 }
 
-LabeledMatrix assemble(const BinaryHeader& header, std::vector<Offset> offsets,
-                       std::vector<Index> indices, std::vector<Value> values,
-                       std::vector<float> labels) {
-  return LabeledMatrix{
-      CsrMatrix(static_cast<Index>(header.rows),
-                static_cast<Index>(header.cols), std::move(offsets),
-                std::move(indices), std::move(values)),
-      std::move(labels)};
+void check_magic(const char* magic) {
+  if (std::memcmp(magic, kMagic, sizeof(kMagic)) == 0) return;
+  if (std::memcmp(magic, kRetiredMagic, sizeof(kRetiredMagic)) == 0) {
+    throw UnsupportedFormatError(
+        "binary read: unsupported format TPA1 (byte-serial digest); "
+        "re-shard the store or regenerate the file as TPA2");
+  }
+  throw std::runtime_error("binary read: bad magic");
+}
+
+// Field checks that need no byte count: the shape must fit the 32-bit
+// index type and every row needs exactly one label.
+void check_fields(const BinaryHeader& header) {
+  constexpr std::uint64_t kMaxIndex = std::numeric_limits<Index>::max();
+  if (header.rows > kMaxIndex || header.cols > kMaxIndex) {
+    throw std::runtime_error("binary read: header shape exceeds 32-bit indices");
+  }
+  if (header.labels != header.rows) {
+    throw std::runtime_error("binary read: header declares " +
+                             std::to_string(header.labels) + " labels for " +
+                             std::to_string(header.rows) + " rows");
+  }
+}
+
+// Bytes left in `in` from its current position; the stream is restored.
+std::uint64_t bytes_remaining(std::istream& in) {
+  const auto here = in.tellg();
+  if (here < 0) {
+    throw std::runtime_error(
+        "binary read: stream is not seekable (cannot bound the header)");
+  }
+  in.seekg(0, std::ios::end);
+  const auto end = in.tellg();
+  in.seekg(here);
+  if (end < here || !in) {
+    throw std::runtime_error("binary read: cannot measure the stream");
+  }
+  return static_cast<std::uint64_t>(end - here);
+}
+
+struct Arrays {
+  CsrArrays csr;
+  std::vector<float> labels;
+};
+
+// Sizes `recycle`'s arrays for `header` (capacity is reused; a steady-state
+// resize touches no fresh pages).  Only called once the header has been
+// checked against the bytes available.
+Arrays arrays_for(const BinaryHeader& header, LabeledMatrix&& recycle) {
+  Arrays arrays{std::move(recycle.matrix).release(),
+                std::move(recycle.labels)};
+  arrays.csr.row_offsets.resize(header.rows + 1);
+  arrays.csr.col_indices.resize(header.nnz);
+  arrays.csr.values.resize(header.nnz);
+  arrays.labels.resize(header.labels);
+  return arrays;
+}
+
+LabeledMatrix assemble(const BinaryHeader& header, Arrays arrays) {
+  try {
+    return LabeledMatrix{
+        CsrMatrix(static_cast<Index>(header.rows),
+                  static_cast<Index>(header.cols),
+                  std::move(arrays.csr.row_offsets),
+                  std::move(arrays.csr.col_indices),
+                  std::move(arrays.csr.values)),
+        std::move(arrays.labels)};
+  } catch (const std::invalid_argument& error) {
+    // A digest-valid image whose arrays are not a CSR matrix was written
+    // by something other than write_binary: still a bad file, not a bug.
+    throw std::runtime_error(std::string("binary read: ") + error.what());
+  }
 }
 
 }  // namespace
@@ -44,7 +136,7 @@ void Fnv1a::update(const void* data, std::size_t bytes) noexcept {
   std::uint64_t hash = hash_;
   for (std::size_t i = 0; i < bytes; ++i) {
     hash ^= bytes_ptr[i];
-    hash *= 0x100000001b3ULL;
+    hash *= kPrime;
   }
   hash_ = hash;
 }
@@ -55,19 +147,76 @@ std::uint64_t fnv1a(const void* data, std::size_t bytes, std::uint64_t seed) {
   return acc.digest();
 }
 
+void WideFnv1a::update(const void* data, std::size_t bytes) noexcept {
+  if (bytes == 0) return;  // `data` may be null (an empty array)
+  const auto* p = static_cast<const unsigned char*>(data);
+  length_ += bytes;
+  if (pending_bytes_ > 0) {
+    const std::size_t take = std::min(kBlockBytes - pending_bytes_, bytes);
+    std::memcpy(pending_.data() + pending_bytes_, p, take);
+    pending_bytes_ += take;
+    p += take;
+    bytes -= take;
+    if (pending_bytes_ < kBlockBytes) return;
+    pending_bytes_ = 0;
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      lanes_[l] = (lanes_[l] ^ load_word(pending_.data() + 8 * l)) *
+                  Fnv1a::kPrime;
+    }
+  }
+  // The hot loop: four independent chains, one word each per block.
+  std::uint64_t a = lanes_[0], b = lanes_[1], c = lanes_[2], d = lanes_[3];
+  for (; bytes >= kBlockBytes; p += kBlockBytes, bytes -= kBlockBytes) {
+    a = (a ^ load_word(p)) * Fnv1a::kPrime;
+    b = (b ^ load_word(p + 8)) * Fnv1a::kPrime;
+    c = (c ^ load_word(p + 16)) * Fnv1a::kPrime;
+    d = (d ^ load_word(p + 24)) * Fnv1a::kPrime;
+  }
+  lanes_ = {a, b, c, d};
+  std::memcpy(pending_.data(), p, bytes);
+  pending_bytes_ = bytes;
+}
+
+std::uint64_t WideFnv1a::digest() const noexcept {
+  // The pending bytes start on a block boundary: whole words go to lanes
+  // 0, 1, 2 in order, the (< 8) bytes after them are the tail.
+  std::array<std::uint64_t, kLanes> lanes = lanes_;
+  const std::size_t words = pending_bytes_ / 8;
+  for (std::size_t l = 0; l < words; ++l) {
+    lanes[l] = (lanes[l] ^ load_word(pending_.data() + 8 * l)) * Fnv1a::kPrime;
+  }
+  std::uint64_t hash = Fnv1a::kOffsetBasis;
+  for (const std::uint64_t lane : lanes) hash = (hash ^ lane) * Fnv1a::kPrime;
+  hash = (hash ^ length_) * Fnv1a::kPrime;
+  for (std::size_t i = 8 * words; i < pending_bytes_; ++i) {
+    hash = (hash ^ pending_[i]) * Fnv1a::kPrime;
+  }
+  return hash;
+}
+
+std::uint64_t wide_fnv1a(const void* data, std::size_t bytes) {
+  WideFnv1a acc;
+  acc.update(data, bytes);
+  return acc.digest();
+}
+
 std::uint64_t BinaryHeader::payload_bytes() const noexcept {
-  return (rows + 1) * sizeof(Offset) + nnz * (sizeof(Index) + sizeof(Value)) +
-         labels * sizeof(float);
+  const std::uint64_t offsets =
+      saturating_mul(saturating_add(rows, 1), sizeof(Offset));
+  const std::uint64_t entries =
+      saturating_mul(nnz, sizeof(Index) + sizeof(Value));
+  const std::uint64_t label_bytes = saturating_mul(labels, sizeof(float));
+  return saturating_add(saturating_add(offsets, entries), label_bytes);
 }
 
 std::uint64_t BinaryHeader::file_bytes() const noexcept {
-  return sizeof(kMagic) + sizeof(BinaryHeader) + payload_bytes() +
-         sizeof(std::uint64_t);
+  return saturating_add(payload_bytes(), sizeof(kMagic) + sizeof(BinaryHeader) +
+                                             sizeof(std::uint64_t));
 }
 
 void write_binary(std::ostream& out, const LabeledMatrix& data) {
   out.write(kMagic, sizeof(kMagic));
-  Fnv1a checksum;
+  WideFnv1a checksum;
   const BinaryHeader header{data.matrix.rows(), data.matrix.cols(),
                             data.matrix.nnz(), data.labels.size()};
   write_raw(out, &header, sizeof(header), checksum);
@@ -93,15 +242,16 @@ void write_binary_file(const std::string& path, const LabeledMatrix& data) {
 BinaryHeader read_binary_header(std::istream& in) {
   char magic[4];
   in.read(magic, sizeof(magic));
-  if (static_cast<std::size_t>(in.gcount()) != sizeof(magic) ||
-      std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
+  if (static_cast<std::size_t>(in.gcount()) != sizeof(magic)) {
     throw std::runtime_error("binary read: bad magic");
   }
+  check_magic(magic);
   BinaryHeader header;
   in.read(reinterpret_cast<char*>(&header), sizeof(header));
   if (static_cast<std::size_t>(in.gcount()) != sizeof(header)) {
     throw std::runtime_error("binary read truncated (header)");
   }
+  check_fields(header);
   return header;
 }
 
@@ -112,35 +262,39 @@ BinaryHeader read_binary_header_file(const std::string& path) {
 }
 
 BinaryHeader read_binary_header(const void* data, std::size_t size) {
-  if (size < sizeof(kMagic) + sizeof(BinaryHeader) ||
-      std::memcmp(data, kMagic, sizeof(kMagic)) != 0) {
-    throw std::runtime_error("binary read: bad magic");
+  if (size < sizeof(kMagic)) throw std::runtime_error("binary read: bad magic");
+  check_magic(static_cast<const char*>(data));
+  if (size < sizeof(kMagic) + sizeof(BinaryHeader)) {
+    throw std::runtime_error("binary read truncated (header)");
   }
   BinaryHeader header;
   std::memcpy(&header, static_cast<const char*>(data) + sizeof(kMagic),
               sizeof(header));
+  check_fields(header);
   return header;
 }
 
-LabeledMatrix read_binary(std::istream& in) {
-  char magic[4];
-  in.read(magic, sizeof(magic));
-  if (static_cast<std::size_t>(in.gcount()) != sizeof(magic) ||
-      std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    throw std::runtime_error("binary read: bad magic");
+LabeledMatrix read_binary(std::istream& in, LabeledMatrix recycle) {
+  const BinaryHeader header = read_binary_header(in);
+  const std::uint64_t available = bytes_remaining(in);
+  if (available < sizeof(std::uint64_t) ||
+      header.payload_bytes() > available - sizeof(std::uint64_t)) {
+    throw std::runtime_error("binary read truncated: header declares " +
+                             std::to_string(header.file_bytes()) +
+                             " bytes, " + std::to_string(available) +
+                             " follow the header");
   }
-  Fnv1a checksum;
-  BinaryHeader header;
-  read_raw(in, &header, sizeof(header), checksum);
-
-  std::vector<Offset> offsets(header.rows + 1);
-  std::vector<Index> indices(header.nnz);
-  std::vector<Value> values(header.nnz);
-  std::vector<float> labels(header.labels);
-  read_raw(in, offsets.data(), offsets.size() * sizeof(Offset), checksum);
-  read_raw(in, indices.data(), indices.size() * sizeof(Index), checksum);
-  read_raw(in, values.data(), values.size() * sizeof(Value), checksum);
-  read_raw(in, labels.data(), labels.size() * sizeof(float), checksum);
+  WideFnv1a checksum;
+  checksum.update(&header, sizeof(header));
+  Arrays arrays = arrays_for(header, std::move(recycle));
+  read_raw(in, arrays.csr.row_offsets.data(),
+           arrays.csr.row_offsets.size() * sizeof(Offset), checksum);
+  read_raw(in, arrays.csr.col_indices.data(),
+           arrays.csr.col_indices.size() * sizeof(Index), checksum);
+  read_raw(in, arrays.csr.values.data(),
+           arrays.csr.values.size() * sizeof(Value), checksum);
+  read_raw(in, arrays.labels.data(), arrays.labels.size() * sizeof(float),
+           checksum);
 
   std::uint64_t stored = 0;
   in.read(reinterpret_cast<char*>(&stored), sizeof(stored));
@@ -150,43 +304,45 @@ LabeledMatrix read_binary(std::istream& in) {
   if (stored != checksum.digest()) {
     throw std::runtime_error("binary read: checksum mismatch");
   }
-  return assemble(header, std::move(offsets), std::move(indices),
-                  std::move(values), std::move(labels));
+  return assemble(header, std::move(arrays));
 }
 
-LabeledMatrix read_binary(const void* data, std::size_t size) {
+LabeledMatrix read_binary(const void* data, std::size_t size,
+                          LabeledMatrix recycle) {
   const auto* bytes = static_cast<const unsigned char*>(data);
   const BinaryHeader header = read_binary_header(data, size);
   if (header.file_bytes() != size) {
-    throw std::runtime_error("binary read truncated (payload)");
+    throw std::runtime_error("binary read truncated: header declares " +
+                             std::to_string(header.file_bytes()) +
+                             " bytes, image has " + std::to_string(size));
   }
+  WideFnv1a checksum;
+  checksum.update(bytes + sizeof(kMagic), sizeof(header));
   const unsigned char* cursor = bytes + sizeof(kMagic) + sizeof(header);
-
-  std::vector<Offset> offsets(header.rows + 1);
-  std::vector<Index> indices(header.nnz);
-  std::vector<Value> values(header.nnz);
-  std::vector<float> labels(header.labels);
-  const auto take = [&cursor](void* dst, std::size_t n) {
-    std::memcpy(dst, cursor, n);
-    cursor += n;
+  const auto take = [&](void* dst, std::size_t n) {
+    auto* out = static_cast<unsigned char*>(dst);
+    for (std::size_t done = 0; done < n;) {
+      const std::size_t piece = std::min(kChunkBytes, n - done);
+      std::memcpy(out + done, cursor, piece);
+      checksum.update(cursor, piece);
+      cursor += piece;
+      done += piece;
+    }
   };
-  take(offsets.data(), offsets.size() * sizeof(Offset));
-  take(indices.data(), indices.size() * sizeof(Index));
-  take(values.data(), values.size() * sizeof(Value));
-  take(labels.data(), labels.size() * sizeof(float));
+  Arrays arrays = arrays_for(header, std::move(recycle));
+  take(arrays.csr.row_offsets.data(),
+       arrays.csr.row_offsets.size() * sizeof(Offset));
+  take(arrays.csr.col_indices.data(),
+       arrays.csr.col_indices.size() * sizeof(Index));
+  take(arrays.csr.values.data(), arrays.csr.values.size() * sizeof(Value));
+  take(arrays.labels.data(), arrays.labels.size() * sizeof(float));
 
   std::uint64_t stored = 0;
   std::memcpy(&stored, cursor, sizeof(stored));
-  // One pass over the mapped image, exactly the bytes the stream reader
-  // would have folded in.
-  const std::uint64_t computed =
-      fnv1a(bytes + sizeof(kMagic),
-            sizeof(header) + header.payload_bytes());
-  if (stored != computed) {
+  if (stored != checksum.digest()) {
     throw std::runtime_error("binary read: checksum mismatch");
   }
-  return assemble(header, std::move(offsets), std::move(indices),
-                  std::move(values), std::move(labels));
+  return assemble(header, std::move(arrays));
 }
 
 LabeledMatrix read_binary_file(const std::string& path) {

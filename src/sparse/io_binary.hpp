@@ -1,21 +1,28 @@
 // Fast binary serialization of labelled CSR matrices.
 //
-// Layout: magic "TPA1", little-endian header (rows, cols, nnz, label count),
-// raw arrays, then an FNV-1a checksum of everything after the magic.  Used by
-// the bench harness to cache generated datasets between runs, and as the
+// Layout: magic "TPA2", little-endian header (rows, cols, nnz, label count),
+// raw arrays, then a WideFnv1a digest of everything after the magic.  Used
+// by the bench harness to cache generated datasets between runs, and as the
 // per-shard chunk format of the out-of-core store (store/format.hpp): every
-// shard file is a self-checksummed TPA1 slice, so the whole store machinery
-// reads and writes through this one module.
+// shard file is a self-checksummed TPA2 slice, so the whole store machinery
+// reads and writes through this one module.  The retired TPA1 layout (the
+// same arrays under a byte-serial FNV-1a digest) is refused with
+// UnsupportedFormatError; re-shard or regenerate such files.
 //
 // Both directions stream: the writer pushes each array straight to the
-// output while folding it into a running Fnv1a accumulator (O(1) heap beyond
-// the caller's arrays), and the reader checksums as it fills the destination
-// vectors.  read_binary_header() peeks at the shape without touching the
+// output while folding it into a running digest (O(1) heap beyond the
+// caller's arrays), and the reader checksums as it fills the destination
+// vectors.  Readers check the header against the bytes actually available,
+// with overflow-checked arithmetic, before they allocate anything, so an
+// inflated length field is a clean std::runtime_error, never a giant
+// allocation.  read_binary_header() peeks at the shape without touching the
 // payload — the store manifest validates shard files this way.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <iosfwd>
+#include <stdexcept>
 #include <string>
 
 #include "sparse/io_svmlight.hpp"
@@ -29,6 +36,7 @@ namespace tpa::sparse {
 class Fnv1a {
  public:
   static constexpr std::uint64_t kOffsetBasis = 0xcbf29ce484222325ULL;
+  static constexpr std::uint64_t kPrime = 0x100000001b3ULL;
 
   constexpr explicit Fnv1a(std::uint64_t seed = kOffsetBasis) noexcept
       : hash_(seed) {}
@@ -44,6 +52,47 @@ class Fnv1a {
 std::uint64_t fnv1a(const void* data, std::size_t bytes,
                     std::uint64_t seed = Fnv1a::kOffsetBasis);
 
+/// Word-parallel FNV-1a, the digest of the TPA2 image.  The input is cut
+/// into 8-byte little-endian words; word k is folded into lane k mod 4 with
+/// the FNV-1a step (h ^= w; h *= prime), so four independent multiply
+/// chains run side by side instead of one chain per byte.  digest() folds
+/// the four lanes and the byte length into one FNV-1a state, then the
+/// trailing (< 8) bytes byte by byte.  Chained updates equal one update
+/// over the concatenation.
+///
+/// Detection guarantee: each step is a bijection of the state it updates
+/// (xor with the input, then multiply by an odd constant mod 2^64), so a
+/// change confined to one 8-byte word changes its lane's final value and
+/// therefore the digest; the same holds for a change to one tail byte.
+class WideFnv1a {
+ public:
+  static constexpr std::size_t kLanes = 4;
+  static constexpr std::size_t kBlockBytes = kLanes * sizeof(std::uint64_t);
+
+  void update(const void* data, std::size_t bytes) noexcept;
+  std::uint64_t digest() const noexcept;
+
+ private:
+  std::array<std::uint64_t, kLanes> lanes_ = {
+      Fnv1a::kOffsetBasis, Fnv1a::kOffsetBasis ^ 0x9e3779b97f4a7c15ULL,
+      Fnv1a::kOffsetBasis ^ 0x3c6ef372fe94f82aULL,
+      Fnv1a::kOffsetBasis ^ 0xdaa66d2c7ddf743fULL};
+  std::array<unsigned char, kBlockBytes> pending_{};  // partial block
+  std::size_t pending_bytes_ = 0;
+  std::uint64_t length_ = 0;
+};
+
+/// One-shot WideFnv1a over a byte range.
+std::uint64_t wide_fnv1a(const void* data, std::size_t bytes);
+
+/// A well-formed image of a retired format version (TPA1).  Its data may
+/// be intact, but this build does not read it: re-shard the store (or
+/// regenerate the cache file) to get a TPA2 image.
+class UnsupportedFormatError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
 /// The fixed-size header following the 4-byte magic.  Field order matches
 /// the on-disk layout exactly.
 struct BinaryHeader {
@@ -53,9 +102,11 @@ struct BinaryHeader {
   std::uint64_t labels = 0;
 
   /// Bytes of the arrays following the header (offsets/indices/values/
-  /// labels), excluding magic, header and trailing checksum.
+  /// labels), excluding magic, header and trailing checksum.  Saturates at
+  /// UINT64_MAX instead of wrapping, so an inflated field can never pass a
+  /// size comparison.
   std::uint64_t payload_bytes() const noexcept;
-  /// Total file size implied by the header.
+  /// Total file size implied by the header (saturating likewise).
   std::uint64_t file_bytes() const noexcept;
 };
 
@@ -65,13 +116,20 @@ struct BinaryHeader {
 void write_binary(std::ostream& out, const LabeledMatrix& data);
 void write_binary_file(const std::string& path, const LabeledMatrix& data);
 
-/// Deserializes; throws std::runtime_error on truncation, bad magic, or
-/// checksum mismatch.
-LabeledMatrix read_binary(std::istream& in);
+/// Deserializes; every failure (truncation, bad magic, a header that does
+/// not fit the available bytes, labels != rows, checksum mismatch, an
+/// invalid CSR structure) is a std::runtime_error, UnsupportedFormatError
+/// for a TPA1 image.  The stream must be seekable (the reader measures the
+/// bytes left before it allocates).  `recycle` lends its arrays' capacity:
+/// the result is decoded into them, so reading a stream of similar-shaped
+/// images allocates nothing in steady state.
+LabeledMatrix read_binary(std::istream& in, LabeledMatrix recycle = {});
 LabeledMatrix read_binary_file(const std::string& path);
 /// Deserializes from an in-memory image (e.g. a memory-mapped shard file);
-/// same validation as the stream reader.
-LabeledMatrix read_binary(const void* data, std::size_t size);
+/// same validation as the stream reader, and the image must be exactly
+/// the size its header declares.
+LabeledMatrix read_binary(const void* data, std::size_t size,
+                          LabeledMatrix recycle = {});
 
 /// Reads magic + header only, leaving the stream positioned at the payload.
 /// Throws on bad magic or truncation.  Cheap shape peek: the payload is

@@ -1,7 +1,7 @@
 // Streaming-run checkpoints: magic "TPSC", a fixed header (epoch,
 // shards_done, seed, threads, rows, cols, shards, lambda), the α and w̄
 // arrays, and a trailing FNV-1a checksum of everything after the magic —
-// the same self-validation discipline as the TPA1 shard format.
+// the same self-validation discipline as the TPA2 shard format.
 //
 // `shards_done` > 0 marks a mid-epoch checkpoint: the run stopped after
 // that many shards of epoch `epoch + 1`.  Restoring hands (epoch,

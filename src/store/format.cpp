@@ -132,7 +132,7 @@ void ShardWriter::append(std::span<const sparse::Index> indices,
 void ShardWriter::flush_shard() {
   if (labels_.empty()) return;
   char suffix[32];
-  std::snprintf(suffix, sizeof(suffix), ".shard%05zu.tpa1",
+  std::snprintf(suffix, sizeof(suffix), ".shard%05zu.tpa2",
                 manifest_.shards.size());
   const std::string file = name_ + suffix;
 

@@ -1,7 +1,7 @@
 // On-disk layout of the out-of-core shard store (DESIGN.md §12).
 //
 // A store is one text manifest plus N shard files.  Every shard file is a
-// complete, self-checksummed TPA1 binary (sparse/io_binary.hpp) holding a
+// complete, self-checksummed TPA2 binary (sparse/io_binary.hpp) holding a
 // contiguous row slice [row_begin, row_begin + rows) of the global matrix
 // with its label range; `cols` in each shard header is the *global* feature
 // count, so a shard deserialises to a LabeledMatrix that is directly usable
@@ -66,7 +66,7 @@ Manifest read_manifest(std::istream& in);
 Manifest read_manifest_file(const std::string& path);
 
 /// Streaming store writer: append rows in global order, shards flush to
-/// `<directory>/<name>.shardNNNNN.tpa1` as they fill, finish() writes
+/// `<directory>/<name>.shardNNNNN.tpa2` as they fill, finish() writes
 /// `<directory>/<name>.manifest` and returns it.  Peak memory is one
 /// shard's arrays.  Rows within a shard are validated by the CsrMatrix
 /// constructor at flush (strictly increasing in-range indices).

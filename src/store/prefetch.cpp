@@ -9,6 +9,22 @@
 #include "util/timer.hpp"
 
 namespace tpa::store {
+namespace {
+
+// Decodes shard `shard` into `out`, recycling the arrays `out` holds; a
+// failure is returned, never thrown, so it can wait on its slot.
+std::exception_ptr decode_into(const StreamingDataset& source,
+                               std::size_t shard, data::DatasetLayout layout,
+                               ResidentShard& out) {
+  try {
+    out = decode_shard(source, shard, layout, std::move(out));
+    return nullptr;
+  } catch (...) {
+    return std::current_exception();
+  }
+}
+
+}  // namespace
 
 double PrefetchStats::overlap_fraction() const noexcept {
   if (load_seconds <= 0.0) return 1.0;
@@ -34,23 +50,24 @@ PrefetchPipeline::~PrefetchPipeline() {
 void PrefetchPipeline::schedule(std::size_t pos) {
   auto slot = std::make_unique<Slot>();
   slot->pos = pos;
+  if (spares_.empty()) {
+    ++stats_.buffer_sets;
+  } else {
+    slot->shard = std::move(spares_.back());
+    spares_.pop_back();
+  }
   Slot* raw = slot.get();
   window_.push_back(std::move(slot));
   if (!async_) return;  // sync mode decodes lazily in acquire()
   const std::size_t shard = order_[pos];
-  pool_->submit([this, raw, shard] {
+  const data::DatasetLayout layout = layout_;
+  pool_->submit([this, raw, shard, layout] {
     const util::WallTimer timer;
-    std::unique_ptr<ResidentShard> value;
-    std::exception_ptr error;
-    try {
-      value = std::make_unique<ResidentShard>(decode_shard(*source_, shard));
-    } catch (...) {
-      error = std::current_exception();
-    }
+    const std::exception_ptr error =
+        decode_into(*source_, shard, layout, raw->shard);
     const double seconds = timer.seconds();
     {
       const std::lock_guard<std::mutex> lock(mutex_);
-      raw->value = std::move(value);
       raw->error = error;
       raw->ready = true;
       ++stats_.loads;
@@ -60,6 +77,10 @@ void PrefetchPipeline::schedule(std::size_t pos) {
   });
 }
 
+void PrefetchPipeline::retire(Slot& slot) {
+  if (spares_.size() < resident_) spares_.push_back(std::move(slot.shard));
+}
+
 void PrefetchPipeline::top_up(std::size_t pos) {
   const std::size_t limit = std::min(pos + resident_, order_.size());
   std::size_t next = window_.empty() ? pos : window_.back()->pos + 1;
@@ -67,14 +88,17 @@ void PrefetchPipeline::top_up(std::size_t pos) {
 }
 
 void PrefetchPipeline::begin_pass(std::vector<std::size_t> shard_order,
-                                  std::size_t start_pos) {
+                                  std::size_t start_pos,
+                                  data::DatasetLayout layout) {
   end_pass();
   order_ = std::move(shard_order);
+  layout_ = layout;
   if (start_pos < order_.size()) top_up(start_pos);
 }
 
 void PrefetchPipeline::end_pass() {
   if (pool_) pool_->wait_idle();  // no worker may touch a slot we drop
+  for (const auto& slot : window_) retire(*slot);
   window_.clear();
   order_.clear();
 }
@@ -87,6 +111,7 @@ const ResidentShard& PrefetchPipeline::acquire(std::size_t pos) {
   // ready (positions are acquired in order and the worker runs FIFO), so
   // the worker can never still reference one.
   while (!window_.empty() && window_.front()->pos < pos) {
+    retire(*window_.front());
     window_.pop_front();
   }
   top_up(pos);
@@ -101,12 +126,7 @@ const ResidentShard& PrefetchPipeline::acquire(std::size_t pos) {
     // the time counts as both load and wait — overlap fraction 0.
     const util::WallTimer timer;
     obs::TraceSpan wait("store/wait");
-    try {
-      slot.value =
-          std::make_unique<ResidentShard>(decode_shard(*source_, order_[pos]));
-    } catch (...) {
-      slot.error = std::current_exception();
-    }
+    slot.error = decode_into(*source_, order_[pos], layout_, slot.shard);
     slot.ready = true;
     const double seconds = timer.seconds();
     ++stats_.loads;
@@ -126,7 +146,7 @@ const ResidentShard& PrefetchPipeline::acquire(std::size_t pos) {
     }
   }
   if (slot.error) std::rethrow_exception(slot.error);
-  return *slot.value;
+  return slot.shard;
 }
 
 }  // namespace tpa::store

@@ -9,18 +9,22 @@
 
 namespace tpa::store {
 
-ResidentShard decode_shard(const StreamingDataset& source, std::size_t i) {
-  sparse::LabeledMatrix slice = source.load_shard(i);
+ResidentShard decode_shard(const StreamingDataset& source, std::size_t i,
+                           data::DatasetLayout layout,
+                           ResidentShard recycle) {
+  data::RowBuffers buffers = std::move(recycle.dataset).release();
+  sparse::LabeledMatrix slice =
+      source.load_shard(i, std::move(buffers.rows));
   obs::TraceSpan decode("store/decode", obs::kCurrentThread,
                         static_cast<std::int64_t>(slice.matrix.nnz()));
   ResidentShard shard;
   shard.shard = i;
   shard.row_begin = source.shard_row_begin(i);
-  // Rows-only: dual-formulation sweeps and the streamed gap never touch the
-  // column orientation, and skipping it roughly halves the resident bytes.
+  // Rows-only: dual-formulation sweeps never touch the column orientation,
+  // and skipping it roughly halves the resident bytes.
   shard.dataset = data::Dataset(
       source.name() + "/shard" + std::to_string(i), std::move(slice.matrix),
-      std::move(slice.labels), data::DatasetLayout::kRowsOnly);
+      std::move(slice.labels), layout, std::move(buffers));
   return shard;
 }
 
@@ -48,8 +52,9 @@ std::uint64_t StoreStreamingDataset::shard_row_begin(std::size_t i) const {
 std::uint64_t StoreStreamingDataset::shard_rows(std::size_t i) const {
   return reader_.manifest().shards.at(i).rows;
 }
-sparse::LabeledMatrix StoreStreamingDataset::load_shard(std::size_t i) const {
-  return reader_.read_shard(i);
+sparse::LabeledMatrix StoreStreamingDataset::load_shard(
+    std::size_t i, sparse::LabeledMatrix recycle) const {
+  return reader_.read_shard(i, std::move(recycle));
 }
 
 MemoryShardedDataset::MemoryShardedDataset(std::string name,
@@ -71,7 +76,8 @@ std::uint64_t MemoryShardedDataset::shard_rows(std::size_t i) const {
   return std::min<std::uint64_t>(rows_per_shard_, rows() - begin);
 }
 
-sparse::LabeledMatrix MemoryShardedDataset::load_shard(std::size_t i) const {
+sparse::LabeledMatrix MemoryShardedDataset::load_shard(
+    std::size_t i, sparse::LabeledMatrix recycle) const {
   const auto begin = static_cast<sparse::Index>(shard_row_begin(i));
   const auto count = static_cast<sparse::Index>(shard_rows(i));
   const auto& matrix = data_->matrix;
@@ -80,21 +86,22 @@ sparse::LabeledMatrix MemoryShardedDataset::load_shard(std::size_t i) const {
   const sparse::Offset first = all_offsets[begin];
   const sparse::Offset last = all_offsets[begin + count];
 
-  std::vector<sparse::Offset> offsets(count + 1);
+  sparse::CsrArrays arrays = std::move(recycle.matrix).release();
+  arrays.row_offsets.resize(count + 1);
   for (sparse::Index r = 0; r <= count; ++r) {
-    offsets[r] = all_offsets[begin + r] - first;
+    arrays.row_offsets[r] = all_offsets[begin + r] - first;
   }
   const auto indices = matrix.col_indices().subspan(first, last - first);
   const auto values = matrix.values().subspan(first, last - first);
-  std::vector<float> labels(data_->labels.begin() + begin,
-                            data_->labels.begin() + begin + count);
+  arrays.col_indices.assign(indices.begin(), indices.end());
+  arrays.values.assign(values.begin(), values.end());
+  recycle.labels.assign(data_->labels.begin() + begin,
+                        data_->labels.begin() + begin + count);
   return sparse::LabeledMatrix{
-      sparse::CsrMatrix(count, matrix.cols(), std::move(offsets),
-                        std::vector<sparse::Index>(indices.begin(),
-                                                   indices.end()),
-                        std::vector<sparse::Value>(values.begin(),
-                                                   values.end())),
-      std::move(labels)};
+      sparse::CsrMatrix(count, matrix.cols(), std::move(arrays.row_offsets),
+                        std::move(arrays.col_indices),
+                        std::move(arrays.values)),
+      std::move(recycle.labels)};
 }
 
 }  // namespace tpa::store

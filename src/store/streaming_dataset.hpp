@@ -15,8 +15,11 @@
 // decode_shard turns a loaded slice into the solver-ready form: a
 // rows-only data::Dataset (CSR + bucketed rows + row norms; no column
 // orientation — dual-formulation streaming never needs one, and the
-// column copy would double the resident budget per shard).  Decode cost
-// is recorded under a "store/decode" span; it is the work the prefetch
+// column copy would double the resident budget per shard), or a CSR-only
+// one for a pass that reads nothing else (the streamed gap).  Given a
+// retired shard to recycle, the load and the decode fill its arrays in
+// place, so a steady-state load touches no fresh pages.  Decode cost is
+// recorded under a "store/decode" span; it is the work the prefetch
 // pipeline hides behind the sweep of the previous shard.
 #pragma once
 
@@ -48,13 +51,20 @@ class StreamingDataset {
   virtual std::uint64_t shard_row_begin(std::size_t i) const = 0;
   virtual std::uint64_t shard_rows(std::size_t i) const = 0;
 
-  /// Loads shard `i`'s raw slice.  Must be thread-safe: the prefetch
-  /// pipeline calls it from its worker while the solver sweeps.
-  virtual sparse::LabeledMatrix load_shard(std::size_t i) const = 0;
+  /// Loads shard `i`'s raw slice into `recycle`'s arrays (their capacity
+  /// is reused).  Must be thread-safe: the prefetch pipeline calls it from
+  /// its worker while the solver sweeps.
+  virtual sparse::LabeledMatrix load_shard(
+      std::size_t i, sparse::LabeledMatrix recycle = {}) const = 0;
 };
 
-/// Loads and decodes shard `i` into sweep-ready form (rows-only Dataset).
-ResidentShard decode_shard(const StreamingDataset& source, std::size_t i);
+/// Loads and decodes shard `i` into sweep-ready form: a rows-only Dataset,
+/// or CSR and labels only with `layout` kCsrOnly.  `recycle` is a retired
+/// shard whose arrays the new one is built in.
+ResidentShard decode_shard(
+    const StreamingDataset& source, std::size_t i,
+    data::DatasetLayout layout = data::DatasetLayout::kRowsOnly,
+    ResidentShard recycle = {});
 
 /// Disk-backed source: one shard per manifest entry via ShardReader.
 class StoreStreamingDataset final : public StreamingDataset {
@@ -68,7 +78,8 @@ class StoreStreamingDataset final : public StreamingDataset {
   std::uint64_t nnz() const override;
   std::uint64_t shard_row_begin(std::size_t i) const override;
   std::uint64_t shard_rows(std::size_t i) const override;
-  sparse::LabeledMatrix load_shard(std::size_t i) const override;
+  sparse::LabeledMatrix load_shard(
+      std::size_t i, sparse::LabeledMatrix recycle = {}) const override;
 
   const ShardReader& reader() const noexcept { return reader_; }
 
@@ -93,7 +104,8 @@ class MemoryShardedDataset final : public StreamingDataset {
   std::uint64_t nnz() const override { return data_->matrix.nnz(); }
   std::uint64_t shard_row_begin(std::size_t i) const override;
   std::uint64_t shard_rows(std::size_t i) const override;
-  sparse::LabeledMatrix load_shard(std::size_t i) const override;
+  sparse::LabeledMatrix load_shard(
+      std::size_t i, sparse::LabeledMatrix recycle = {}) const override;
 
  private:
   std::string name_;

@@ -145,17 +145,19 @@ double StreamingScdSolver::duality_gap() {
 
   // One identity-order pass: residual_sq and α·y accumulate in global row
   // order — the serial in-memory accumulation sequence, merely split at
-  // shard boundaries.
+  // shard boundaries.  The pass reads only CSR rows and labels, so its
+  // shards skip the bucketed layout and the norms.
   double residual_sq = 0.0;
   double alpha_y = 0.0;
   std::vector<std::size_t> identity(source_->num_shards());
   for (std::size_t i = 0; i < identity.size(); ++i) identity[i] = i;
-  pipeline_.begin_pass(std::move(identity));
+  pipeline_.begin_pass(std::move(identity), 0, data::DatasetLayout::kCsrOnly);
+  std::vector<float> w;
   for (std::size_t s = 0; s < source_->num_shards(); ++s) {
     const ResidentShard& shard = pipeline_.acquire(s);
     const auto& matrix = shard.dataset.by_row();
     const auto labels = shard.dataset.labels();
-    std::vector<float> w(static_cast<std::size_t>(matrix.rows()));
+    w.resize(static_cast<std::size_t>(matrix.rows()));
     linalg::csr_matvec(matrix, beta, w, nullptr);
     for (std::size_t i = 0; i < w.size(); ++i) {
       const double r = static_cast<double>(w[i]) - labels[i];

@@ -1,7 +1,10 @@
 // COO builder, CSR and CSC construction/validation/access.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
+#include <string>
 #include <stdexcept>
 #include <vector>
 
@@ -312,6 +315,142 @@ TEST(BucketedLayout, FromColsMatchesCscColumns) {
       EXPECT_EQ(view.values[k], source.values[k]);
     }
   }
+}
+
+// Reference layout: the stable sort by nnz class the counting pass
+// replaced, with its zero-filled arrays.  Slices come from `slice(j)`.
+struct ReferenceLayout {
+  std::vector<Index> order;
+  std::vector<std::size_t> bucket_class, bucket_begin, bucket_count;
+  std::vector<std::size_t> offset, nnz, width;
+  std::vector<Index> indices;
+  std::vector<Value> values;
+};
+
+template <typename SliceFn>
+ReferenceLayout reference_layout(Index count, const SliceFn& slice) {
+  const auto cls = [](std::size_t n) {
+    std::size_t c = 8;
+    while (c < n) c *= 2;
+    return c;
+  };
+  ReferenceLayout ref;
+  ref.order.resize(count);
+  for (Index j = 0; j < count; ++j) ref.order[j] = j;
+  std::stable_sort(ref.order.begin(), ref.order.end(), [&](Index a, Index b) {
+    return cls(slice(a).nnz()) < cls(slice(b).nnz());
+  });
+  ref.offset.resize(count);
+  ref.nnz.resize(count);
+  ref.width.resize(count);
+  std::size_t offset = 0;
+  for (std::size_t at = 0; at < ref.order.size(); ++at) {
+    const std::size_t c = cls(slice(ref.order[at]).nnz());
+    if (at == 0 || c != ref.bucket_class.back()) {
+      offset = (offset + 15) / 16 * 16;
+      ref.bucket_class.push_back(c);
+      ref.bucket_begin.push_back(at);
+      ref.bucket_count.push_back(0);
+    }
+    ++ref.bucket_count.back();
+    const Index j = ref.order[at];
+    ref.nnz[j] = slice(j).nnz();
+    ref.width[j] = ref.nnz[j] == 0 ? 0 : (ref.nnz[j] + 7) / 8 * 8;
+    ref.offset[j] = offset;
+    offset += ref.width[j];
+  }
+  ref.indices.assign(offset, 0);
+  ref.values.assign(offset, 0.0F);
+  for (Index j = 0; j < count; ++j) {
+    const auto view = slice(j);
+    for (std::size_t k = 0; k < ref.width[j]; ++k) {
+      ref.indices[ref.offset[j] + k] =
+          k < view.nnz() ? view.indices[k] : view.indices.back();
+      ref.values[ref.offset[j] + k] = k < view.nnz() ? view.values[k] : 0.0F;
+    }
+  }
+  return ref;
+}
+
+void expect_matches(const BucketedLayout& layout, const ReferenceLayout& ref) {
+  ASSERT_EQ(static_cast<std::size_t>(layout.num_buckets()),
+            ref.bucket_class.size());
+  std::vector<Index> order;
+  for (int b = 0; b < layout.num_buckets(); ++b) {
+    EXPECT_EQ(layout.bucket_class(b), ref.bucket_class[b]) << "bucket " << b;
+    EXPECT_EQ(order.size(), ref.bucket_begin[b]) << "bucket " << b;
+    EXPECT_EQ(layout.bucket_coords(b).size(), ref.bucket_count[b]);
+    for (const Index j : layout.bucket_coords(b)) order.push_back(j);
+  }
+  EXPECT_EQ(order, ref.order);
+  const auto storage = layout.storage_indices();
+  for (Index j = 0; j < layout.count(); ++j) {
+    EXPECT_EQ(layout.nnz_of(j), ref.nnz[j]) << "coordinate " << j;
+    EXPECT_EQ(layout.width_of(j), ref.width[j]) << "coordinate " << j;
+    EXPECT_EQ(static_cast<std::size_t>(layout.padded(j).indices.data() -
+                                       storage.data()),
+              ref.offset[j])
+        << "coordinate " << j;
+  }
+  EXPECT_EQ(std::vector<Index>(storage.begin(), storage.end()), ref.indices);
+  const auto values = layout.storage_values();
+  EXPECT_EQ(std::vector<Value>(values.begin(), values.end()), ref.values);
+}
+
+// Random rows whose nnz mix every class from empty to 256, over columns
+// some of which stay empty.
+CsrMatrix mixed_class_csr(std::uint64_t seed, Index rows) {
+  util::Rng rng(seed);
+  const Index cols = 400;
+  CooBuilder coo(rows, cols);
+  const std::size_t caps[] = {0, 8, 16, 40, 130, 256};
+  for (Index r = 0; r < rows; ++r) {
+    const std::size_t cap = caps[rng.uniform_index(std::size(caps))];
+    const std::size_t nnz = cap == 0 ? 0 : 1 + rng.uniform_index(cap);
+    for (std::size_t k = 0; k < nnz; ++k) {
+      // Columns >= 300 are never drawn: empty columns for from_cols.
+      coo.add(r, static_cast<Index>(rng.uniform_index(300)),
+              static_cast<float>(rng.normal()));
+    }
+  }
+  coo.coalesce();
+  return coo_to_csr(coo);
+}
+
+TEST(BucketedLayout, CountingPassEqualsReferenceStableSort) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    const auto csr = mixed_class_csr(seed, 200 + 37 * static_cast<Index>(seed));
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    expect_matches(BucketedLayout::from_rows(csr),
+                   reference_layout(csr.rows(),
+                                    [&](Index j) { return csr.row(j); }));
+    const auto csc = csr_to_csc(csr);
+    expect_matches(BucketedLayout::from_cols(csc),
+                   reference_layout(csc.cols(),
+                                    [&](Index j) { return csc.col(j); }));
+  }
+}
+
+TEST(BucketedLayout, ReusedStorageBuildsTheSameLayout) {
+  // A bigger matrix's layout lends its (now stale) storage to a smaller,
+  // differently shaped one, and back: every entry, gaps included, must be
+  // what a fresh build writes.
+  const auto big = mixed_class_csr(11, 300);
+  const auto small = mixed_class_csr(12, 120);
+  auto layout = BucketedLayout::from_rows(big);
+  const Index* storage = layout.storage_indices().data();
+  layout = BucketedLayout::from_rows(small, std::move(layout));
+  EXPECT_EQ(layout.storage_indices().data(), storage) << "capacity reused";
+  expect_matches(layout, reference_layout(small.rows(), [&](Index j) {
+                   return small.row(j);
+                 }));
+  layout = BucketedLayout::from_rows(big, std::move(layout));
+  expect_matches(layout, reference_layout(big.rows(), [&](Index j) {
+                   return big.row(j);
+                 }));
+  layout.clear();
+  EXPECT_TRUE(layout.empty());
+  EXPECT_EQ(layout.padded_nnz(), 0u);
 }
 
 }  // namespace

@@ -118,8 +118,8 @@ TEST(Manifest, TextRoundTrip) {
   manifest.rows = 10;
   manifest.cols = 6;
   manifest.nnz = 21;
-  manifest.shards = {{0, 5, 11, 400, "unit.shard00000.tpa1"},
-                     {5, 5, 10, 390, "unit.shard00001.tpa1"}};
+  manifest.shards = {{0, 5, 11, 400, "unit.shard00000.tpa2"},
+                     {5, 5, 10, 390, "unit.shard00001.tpa2"}};
   std::stringstream stream;
   write_manifest(stream, manifest);
   const auto parsed = read_manifest(stream);
@@ -198,8 +198,8 @@ TEST_F(StoreTest, ShardWriterNeverBuffersMoreThanOneShard) {
     const auto row = data.matrix.row(r);
     writer.append(row.indices, row.values, data.labels[r]);
   }
-  EXPECT_TRUE(std::filesystem::exists(dir_ / "inc.shard00000.tpa1"));
-  EXPECT_TRUE(std::filesystem::exists(dir_ / "inc.shard00001.tpa1"));
+  EXPECT_TRUE(std::filesystem::exists(dir_ / "inc.shard00000.tpa2"));
+  EXPECT_TRUE(std::filesystem::exists(dir_ / "inc.shard00001.tpa2"));
   EXPECT_FALSE(std::filesystem::exists(dir_ / "inc.manifest"));
   for (sparse::Index r = 6; r < 9; ++r) {
     const auto row = data.matrix.row(r);
@@ -214,7 +214,7 @@ TEST_F(StoreTest, ShardWriterNeverBuffersMoreThanOneShard) {
 TEST_F(StoreTest, RejectsTruncatedShard) {
   const auto data = make_data(8, 6);
   write_store(dir_.string(), "trunc", data, 2);
-  const auto shard_path = dir_ / "trunc.shard00001.tpa1";
+  const auto shard_path = dir_ / "trunc.shard00001.tpa2";
   const auto size = std::filesystem::file_size(shard_path);
   std::filesystem::resize_file(shard_path, size - 8);
   const auto reader =
@@ -226,7 +226,7 @@ TEST_F(StoreTest, RejectsTruncatedShard) {
 TEST_F(StoreTest, RejectsCorruptedShardInBothModes) {
   const auto data = make_data(8, 6);
   write_store(dir_.string(), "corrupt", data, 2);
-  const auto shard_path = dir_ / "corrupt.shard00000.tpa1";
+  const auto shard_path = dir_ / "corrupt.shard00000.tpa2";
   {
     // Flip one payload byte; the size still matches the manifest, so only
     // the checksum can catch it.
@@ -262,7 +262,7 @@ TEST_F(StoreTest, RejectsCorruptedShardInBothModes) {
 TEST_F(StoreTest, RejectsMissingShardFile) {
   const auto data = make_data(6, 4);
   write_store(dir_.string(), "gone", data, 3);
-  std::filesystem::remove(dir_ / "gone.shard00002.tpa1");
+  std::filesystem::remove(dir_ / "gone.shard00002.tpa2");
   const auto reader = ShardReader::open((dir_ / "gone.manifest").string());
   EXPECT_THROW(reader.read_shard(2), std::runtime_error);
 }

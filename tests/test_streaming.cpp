@@ -3,10 +3,12 @@
 // checkpoint/resume.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -293,7 +295,7 @@ TEST_F(StreamingTest, PipelineSurfacesLoadErrorsOnTheSolverThread) {
   const auto data = make_data(128);
   write_store(dir_.string(), "ds", data, 4);
   // Corrupt shard 2 after the manifest was written.
-  const auto shard_path = dir_ / "ds.shard00002.tpa1";
+  const auto shard_path = dir_ / "ds.shard00002.tpa2";
   std::filesystem::resize_file(
       shard_path, std::filesystem::file_size(shard_path) - 4);
   StoreStreamingDataset source(
@@ -305,6 +307,122 @@ TEST_F(StreamingTest, PipelineSurfacesLoadErrorsOnTheSolverThread) {
   EXPECT_NO_THROW(pipeline.acquire(1));
   EXPECT_THROW(pipeline.acquire(2), std::runtime_error);
   pipeline.end_pass();
+}
+
+// Every row has the same nnz and every shard the same row count, so each
+// recycled buffer set always fits the next shard: a steady-state load
+// decodes into existing capacity and the arrays' data() pointers repeat.
+sparse::LabeledMatrix uniform_data(sparse::Index rows, sparse::Index nnz) {
+  std::vector<sparse::Offset> offsets{0};
+  std::vector<sparse::Index> indices;
+  std::vector<sparse::Value> values;
+  std::vector<float> labels;
+  for (sparse::Index r = 0; r < rows; ++r) {
+    for (sparse::Index k = 0; k < nnz; ++k) {
+      indices.push_back((r * 7 + k * 13) % 97 + 97 * k);
+      values.push_back(0.01F * static_cast<float>((r + 3 * k) % 50) - 0.2F);
+    }
+    offsets.push_back(indices.size());
+    labels.push_back(r % 3 == 0 ? 1.0F : -1.0F);
+  }
+  return sparse::LabeledMatrix{
+      sparse::CsrMatrix(rows, 97 * nnz, std::move(offsets), std::move(indices),
+                        std::move(values)),
+      std::move(labels)};
+}
+
+TEST_F(StreamingTest, PipelineRecyclesAtMostResidentShardBuffers) {
+  const auto data = uniform_data(320, 6);
+  MemoryShardedDataset source("ds", data, 5);
+  const std::vector<std::vector<std::size_t>> orders = {
+      {0, 1, 2, 3, 4}, {3, 1, 4, 0, 2}, {4, 3, 2, 1, 0}};
+  for (const bool async : {true, false}) {
+    for (const std::size_t resident : {1u, 2u, 3u}) {
+      SCOPED_TRACE(std::string(async ? "async" : "sync") + " resident " +
+                   std::to_string(resident));
+      PrefetchPipeline pipeline(source, resident, async);
+      // One pointer per buffer set and array: CSR values, offsets, labels,
+      // bucketed storage and norms.
+      std::vector<std::set<const void*>> seen(orders.size());
+      for (std::size_t pass = 0; pass < orders.size(); ++pass) {
+        pipeline.begin_pass(orders[pass]);
+        for (std::size_t pos = 0; pos < orders[pass].size(); ++pos) {
+          const ResidentShard& shard = pipeline.acquire(pos);
+          // Recycled arrays hold exactly what a fresh decode produces.
+          const auto fresh = decode_shard(source, orders[pass][pos]);
+          const auto& got = shard.dataset;
+          ASSERT_EQ(shard.shard, orders[pass][pos]);
+          EXPECT_EQ(to_vec(got.by_row().values()),
+                    to_vec(fresh.dataset.by_row().values()));
+          EXPECT_EQ(to_vec(got.labels()), to_vec(fresh.dataset.labels()));
+          const auto norms = got.row_squared_norms();
+          const auto fresh_norms = fresh.dataset.row_squared_norms();
+          EXPECT_TRUE(std::equal(norms.begin(), norms.end(),
+                                 fresh_norms.begin(), fresh_norms.end()));
+          const auto storage = got.bucketed_rows().storage_values();
+          const auto fresh_storage =
+              fresh.dataset.bucketed_rows().storage_values();
+          EXPECT_TRUE(std::equal(storage.begin(), storage.end(),
+                                 fresh_storage.begin(), fresh_storage.end()));
+          seen[pass].insert(got.by_row().values().data());
+          seen[pass].insert(got.by_row().row_offsets().data());
+          seen[pass].insert(got.labels().data());
+          seen[pass].insert(storage.data());
+          seen[pass].insert(norms.data());
+        }
+        pipeline.end_pass();
+      }
+      // Five arrays per set, and never more sets than the window.
+      EXPECT_LE(seen[0].size(), 5 * resident);
+      EXPECT_LE(pipeline.stats().buffer_sets, resident);
+      EXPECT_EQ(pipeline.stats().loads, 15u);
+      // After the first pass every load reuses a set from it.
+      for (std::size_t pass = 1; pass < orders.size(); ++pass) {
+        for (const void* pointer : seen[pass]) {
+          EXPECT_TRUE(seen[0].count(pointer)) << "pass " << pass;
+        }
+      }
+    }
+  }
+}
+
+TEST_F(StreamingTest, GapPassDecodesCsrOnlyAndKeepsTheBudget) {
+  const auto data = uniform_data(256, 5);
+  MemoryShardedDataset source("ds", data, 4);
+  PrefetchPipeline pipeline(source, 2);
+  pipeline.begin_pass({0, 1, 2, 3});
+  const void* csr = nullptr;
+  for (std::size_t pos = 0; pos < 4; ++pos) {
+    const auto& dataset = pipeline.acquire(pos).dataset;
+    EXPECT_FALSE(dataset.bucketed_rows().empty());
+    if (pos == 0) csr = dataset.by_row().values().data();
+  }
+  pipeline.begin_pass({0, 1, 2, 3}, 0, data::DatasetLayout::kCsrOnly);
+  bool reused = false;
+  for (std::size_t pos = 0; pos < 4; ++pos) {
+    const auto& dataset = pipeline.acquire(pos).dataset;
+    EXPECT_EQ(dataset.layout(), data::DatasetLayout::kCsrOnly);
+    EXPECT_TRUE(dataset.bucketed_rows().empty());
+    EXPECT_TRUE(dataset.row_squared_norms().empty());
+    EXPECT_EQ(dataset.by_row().rows(), 64u);
+    reused = reused || dataset.by_row().values().data() == csr;
+  }
+  pipeline.end_pass();
+  EXPECT_TRUE(reused) << "the gap pass decodes into the sweep's buffers";
+  EXPECT_LE(pipeline.stats().buffer_sets, 2u);
+
+  // Through the solver: epochs and gap passes alternate on the same sets.
+  for (const std::size_t resident : {1u, 2u, 3u}) {
+    auto config = base_config();
+    config.resident_shards = resident;
+    StreamingScdSolver solver(source, config);
+    for (int epoch = 0; epoch < 3; ++epoch) {
+      solver.run_epoch();
+      (void)solver.duality_gap();
+    }
+    EXPECT_LE(solver.prefetch_stats().buffer_sets, resident);
+    EXPECT_EQ(solver.prefetch_stats().loads, 6u * source.num_shards());
+  }
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // tpascd_shard — build and validate out-of-core shard stores.
 //
 // Converts a dataset (svmlight text, our .bin cache, or a generated
-// stand-in) into the TPASTORE manifest + TPA1 shard-slice layout that
+// stand-in) into the TPASTORE manifest + TPA2 shard-slice layout that
 // tpascd_train --store trains from, or verifies an existing store
 // shard-by-shard (sizes, header shapes, checksums).
 //
