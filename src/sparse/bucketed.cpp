@@ -109,10 +109,6 @@ void BucketedLayout::clear() noexcept {
   dim_ = 0;
 }
 
-BucketedLayout BucketedLayout::from_rows(const CsrMatrix& m) {
-  return from_rows(m, BucketedLayout{});
-}
-
 BucketedLayout BucketedLayout::from_rows(const CsrMatrix& m,
                                          BucketedLayout reuse) {
   return build(m.rows(), m.cols(), [&](Index j) { return m.row(j); },

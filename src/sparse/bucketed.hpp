@@ -32,13 +32,15 @@ namespace tpa::sparse {
 
 class BucketedLayout {
  public:
-  BucketedLayout() = default;
+  // User-provided, so from_rows can default its argument to {} inside
+  // the class (a defaulted one would need the member initializers first).
+  BucketedLayout() noexcept {}
 
-  /// Buckets the rows of a CSR matrix (dual-formulation coordinates).
-  static BucketedLayout from_rows(const CsrMatrix& m);
-  /// Same, built in `reuse`'s storage (a retired layout of similar shape
+  /// Buckets the rows of a CSR matrix (dual-formulation coordinates), in
+  /// `reuse`'s storage when given one (a retired layout of similar shape
   /// lends its capacity); byte-identical to a fresh build.
-  static BucketedLayout from_rows(const CsrMatrix& m, BucketedLayout reuse);
+  static BucketedLayout from_rows(const CsrMatrix& m,
+                                  BucketedLayout reuse = {});
   /// Buckets the columns of a CSC matrix (primal-formulation coordinates).
   static BucketedLayout from_cols(const CscMatrix& m);
 
@@ -87,7 +89,9 @@ class BucketedLayout {
   std::size_t padded_nnz() const noexcept { return indices_.size(); }
 
   /// The whole bucket-major storage, alignment gaps included (index 0,
-  /// value 0 in a gap).  padded(j) is a window into these.
+  /// value 0 in a gap).  padded(j) is a window into these.  No kernel
+  /// reads the gaps; these views exist so a build into reused storage can
+  /// be checked byte for byte against a fresh one.
   std::span<const Index> storage_indices() const noexcept { return indices_; }
   std::span<const Value> storage_values() const noexcept { return values_; }
 

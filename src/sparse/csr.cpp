@@ -75,12 +75,6 @@ SparseVectorView CsrMatrix::row(Index r) const {
       std::span<const Value>(values_).subspan(begin, count)};
 }
 
-std::vector<double> CsrMatrix::row_squared_norms(util::ThreadPool* pool) const {
-  std::vector<double> norms(rows_, 0.0);
-  row_squared_norms(norms, pool);
-  return norms;
-}
-
 void CsrMatrix::row_squared_norms(std::span<double> norms,
                                   util::ThreadPool* pool) const {
   if (norms.size() != rows_) {

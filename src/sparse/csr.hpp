@@ -59,12 +59,11 @@ class CsrMatrix {
   /// View of row r's indices and values.
   SparseVectorView row(Index r) const;
 
-  /// Squared L2 norm of every row, accumulated in double:  ||ā_n||².
-  /// Rows are independent, so a non-null `pool` computes them in contiguous
-  /// chunks — identical results, and the one-time precompute stops
-  /// dominating small-epoch runs on wide datasets.
-  std::vector<double> row_squared_norms(util::ThreadPool* pool = nullptr) const;
-  /// Same, into `out` (size rows()).
+  /// Squared L2 norm of every row, accumulated in double, into `out`
+  /// (rows() entries, so a caller that rebuilds often reuses its buffer):
+  /// ||ā_n||².  Rows are independent, so a non-null `pool` computes them in
+  /// contiguous chunks — identical results, and the one-time precompute
+  /// stops dominating small-epoch runs on wide datasets.
   void row_squared_norms(std::span<double> out,
                          util::ThreadPool* pool = nullptr) const;
 

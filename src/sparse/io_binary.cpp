@@ -1,9 +1,11 @@
 #include "sparse/io_binary.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <vector>
 
 namespace tpa::sparse {
@@ -23,6 +25,22 @@ std::uint64_t load_word(const unsigned char* p) noexcept {
   return word;
 }
 
+// The WideHash steps (xxHash64's constants).  Each is a bijection of the
+// value it mixes in for a fixed accumulator.
+constexpr std::uint64_t kPrime1 = 0x9e3779b185ebca87ULL;
+constexpr std::uint64_t kPrime2 = 0xc2b2ae3d27d4eb4fULL;
+constexpr std::uint64_t kPrime3 = 0x165667b19e3779f9ULL;
+constexpr std::uint64_t kPrime4 = 0x85ebca77c2b2ae63ULL;
+constexpr std::uint64_t kPrime5 = 0x27d4eb2f165667c5ULL;
+
+std::uint64_t hash_round(std::uint64_t acc, std::uint64_t word) noexcept {
+  return std::rotl(acc + word * kPrime2, 31) * kPrime1;
+}
+
+std::uint64_t hash_merge(std::uint64_t acc, std::uint64_t value) noexcept {
+  return (acc ^ hash_round(0, value)) * kPrime1 + kPrime4;
+}
+
 std::uint64_t saturating_mul(std::uint64_t a, std::uint64_t b) noexcept {
   std::uint64_t out;
   return __builtin_mul_overflow(a, b, &out) ? kSaturated : out;
@@ -34,7 +52,7 @@ std::uint64_t saturating_add(std::uint64_t a, std::uint64_t b) noexcept {
 }
 
 void write_raw(std::ostream& out, const void* data, std::size_t bytes,
-               WideFnv1a& checksum) {
+               WideHash& checksum) {
   out.write(static_cast<const char*>(data),
             static_cast<std::streamsize>(bytes));
   if (!out) throw std::runtime_error("binary write failed");
@@ -42,7 +60,7 @@ void write_raw(std::ostream& out, const void* data, std::size_t bytes,
 }
 
 void read_raw(std::istream& in, void* data, std::size_t bytes,
-              WideFnv1a& checksum) {
+              WideHash& checksum) {
   auto* dst = static_cast<char*>(data);
   for (std::size_t done = 0; done < bytes;) {
     const std::size_t n = std::min(kChunkBytes, bytes - done);
@@ -79,13 +97,11 @@ void check_fields(const BinaryHeader& header) {
   }
 }
 
-// Bytes left in `in` from its current position; the stream is restored.
-std::uint64_t bytes_remaining(std::istream& in) {
+// Bytes left in `in` from its current position (the stream is restored),
+// or nullopt for a stream that cannot seek (a pipe).
+std::optional<std::uint64_t> bytes_remaining(std::istream& in) {
   const auto here = in.tellg();
-  if (here < 0) {
-    throw std::runtime_error(
-        "binary read: stream is not seekable (cannot bound the header)");
-  }
+  if (here < 0) return std::nullopt;
   in.seekg(0, std::ios::end);
   const auto end = in.tellg();
   in.seekg(here);
@@ -93,6 +109,29 @@ std::uint64_t bytes_remaining(std::istream& in) {
     throw std::runtime_error("binary read: cannot measure the stream");
   }
   return static_cast<std::uint64_t>(end - here);
+}
+
+// Reads `count` elements into `out` (its capacity is reused).  `bounded`:
+// the header was checked against the bytes available, so the array is
+// sized up front.  Otherwise it grows chunk by chunk as the bytes arrive,
+// and an inflated count ends in truncation at no more than twice the
+// bytes the stream delivered.
+template <typename T>
+void read_array(std::istream& in, std::vector<T>& out, std::uint64_t count,
+                bool bounded, WideHash& checksum) {
+  if (bounded) {
+    out.resize(count);
+    read_raw(in, out.data(), out.size() * sizeof(T), checksum);
+    return;
+  }
+  out.clear();
+  while (out.size() < count) {
+    const std::size_t done = out.size();
+    const auto n = static_cast<std::size_t>(
+        std::min<std::uint64_t>(kChunkBytes / sizeof(T), count - done));
+    out.resize(done + n);
+    read_raw(in, out.data() + done, n * sizeof(T), checksum);
+  }
 }
 
 struct Arrays {
@@ -147,7 +186,10 @@ std::uint64_t fnv1a(const void* data, std::size_t bytes, std::uint64_t seed) {
   return acc.digest();
 }
 
-void WideFnv1a::update(const void* data, std::size_t bytes) noexcept {
+WideHash::WideHash() noexcept
+    : lanes_{kPrime1 + kPrime2, kPrime2, 0, 0 - kPrime1} {}
+
+void WideHash::update(const void* data, std::size_t bytes) noexcept {
   if (bytes == 0) return;  // `data` may be null (an empty array)
   const auto* p = static_cast<const unsigned char*>(data);
   length_ += bytes;
@@ -160,44 +202,43 @@ void WideFnv1a::update(const void* data, std::size_t bytes) noexcept {
     if (pending_bytes_ < kBlockBytes) return;
     pending_bytes_ = 0;
     for (std::size_t l = 0; l < kLanes; ++l) {
-      lanes_[l] = (lanes_[l] ^ load_word(pending_.data() + 8 * l)) *
-                  Fnv1a::kPrime;
+      lanes_[l] = hash_round(lanes_[l], load_word(pending_.data() + 8 * l));
     }
   }
   // The hot loop: four independent chains, one word each per block.
   std::uint64_t a = lanes_[0], b = lanes_[1], c = lanes_[2], d = lanes_[3];
   for (; bytes >= kBlockBytes; p += kBlockBytes, bytes -= kBlockBytes) {
-    a = (a ^ load_word(p)) * Fnv1a::kPrime;
-    b = (b ^ load_word(p + 8)) * Fnv1a::kPrime;
-    c = (c ^ load_word(p + 16)) * Fnv1a::kPrime;
-    d = (d ^ load_word(p + 24)) * Fnv1a::kPrime;
+    a = hash_round(a, load_word(p));
+    b = hash_round(b, load_word(p + 8));
+    c = hash_round(c, load_word(p + 16));
+    d = hash_round(d, load_word(p + 24));
   }
   lanes_ = {a, b, c, d};
   std::memcpy(pending_.data(), p, bytes);
   pending_bytes_ = bytes;
 }
 
-std::uint64_t WideFnv1a::digest() const noexcept {
+std::uint64_t WideHash::digest() const noexcept {
   // The pending bytes start on a block boundary: whole words go to lanes
   // 0, 1, 2 in order, the (< 8) bytes after them are the tail.
   std::array<std::uint64_t, kLanes> lanes = lanes_;
   const std::size_t words = pending_bytes_ / 8;
   for (std::size_t l = 0; l < words; ++l) {
-    lanes[l] = (lanes[l] ^ load_word(pending_.data() + 8 * l)) * Fnv1a::kPrime;
+    lanes[l] = hash_round(lanes[l], load_word(pending_.data() + 8 * l));
   }
-  std::uint64_t hash = Fnv1a::kOffsetBasis;
-  for (const std::uint64_t lane : lanes) hash = (hash ^ lane) * Fnv1a::kPrime;
-  hash = (hash ^ length_) * Fnv1a::kPrime;
+  std::uint64_t hash = kPrime5;
+  for (const std::uint64_t lane : lanes) hash = hash_merge(hash, lane);
+  hash = hash_merge(hash, length_);
   for (std::size_t i = 8 * words; i < pending_bytes_; ++i) {
-    hash = (hash ^ pending_[i]) * Fnv1a::kPrime;
+    hash = std::rotl(hash ^ (pending_[i] * kPrime5), 11) * kPrime1;
   }
+  // Avalanche (xor-shifts and odd multiplies: a bijection).
+  hash ^= hash >> 33;
+  hash *= kPrime2;
+  hash ^= hash >> 29;
+  hash *= kPrime3;
+  hash ^= hash >> 32;
   return hash;
-}
-
-std::uint64_t wide_fnv1a(const void* data, std::size_t bytes) {
-  WideFnv1a acc;
-  acc.update(data, bytes);
-  return acc.digest();
 }
 
 std::uint64_t BinaryHeader::payload_bytes() const noexcept {
@@ -216,7 +257,7 @@ std::uint64_t BinaryHeader::file_bytes() const noexcept {
 
 void write_binary(std::ostream& out, const LabeledMatrix& data) {
   out.write(kMagic, sizeof(kMagic));
-  WideFnv1a checksum;
+  WideHash checksum;
   const BinaryHeader header{data.matrix.rows(), data.matrix.cols(),
                             data.matrix.nnz(), data.labels.size()};
   write_raw(out, &header, sizeof(header), checksum);
@@ -276,25 +317,24 @@ BinaryHeader read_binary_header(const void* data, std::size_t size) {
 
 LabeledMatrix read_binary(std::istream& in, LabeledMatrix recycle) {
   const BinaryHeader header = read_binary_header(in);
-  const std::uint64_t available = bytes_remaining(in);
-  if (available < sizeof(std::uint64_t) ||
-      header.payload_bytes() > available - sizeof(std::uint64_t)) {
+  const std::optional<std::uint64_t> available = bytes_remaining(in);
+  if (available && (*available < sizeof(std::uint64_t) ||
+                    header.payload_bytes() >
+                        *available - sizeof(std::uint64_t))) {
     throw std::runtime_error("binary read truncated: header declares " +
                              std::to_string(header.file_bytes()) +
-                             " bytes, " + std::to_string(available) +
+                             " bytes, " + std::to_string(*available) +
                              " follow the header");
   }
-  WideFnv1a checksum;
+  const bool bounded = available.has_value();
+  WideHash checksum;
   checksum.update(&header, sizeof(header));
-  Arrays arrays = arrays_for(header, std::move(recycle));
-  read_raw(in, arrays.csr.row_offsets.data(),
-           arrays.csr.row_offsets.size() * sizeof(Offset), checksum);
-  read_raw(in, arrays.csr.col_indices.data(),
-           arrays.csr.col_indices.size() * sizeof(Index), checksum);
-  read_raw(in, arrays.csr.values.data(),
-           arrays.csr.values.size() * sizeof(Value), checksum);
-  read_raw(in, arrays.labels.data(), arrays.labels.size() * sizeof(float),
-           checksum);
+  Arrays arrays{std::move(recycle.matrix).release(),
+                std::move(recycle.labels)};
+  read_array(in, arrays.csr.row_offsets, header.rows + 1, bounded, checksum);
+  read_array(in, arrays.csr.col_indices, header.nnz, bounded, checksum);
+  read_array(in, arrays.csr.values, header.nnz, bounded, checksum);
+  read_array(in, arrays.labels, header.labels, bounded, checksum);
 
   std::uint64_t stored = 0;
   in.read(reinterpret_cast<char*>(&stored), sizeof(stored));
@@ -316,7 +356,7 @@ LabeledMatrix read_binary(const void* data, std::size_t size,
                              std::to_string(header.file_bytes()) +
                              " bytes, image has " + std::to_string(size));
   }
-  WideFnv1a checksum;
+  WideHash checksum;
   checksum.update(bytes + sizeof(kMagic), sizeof(header));
   const unsigned char* cursor = bytes + sizeof(kMagic) + sizeof(header);
   const auto take = [&](void* dst, std::size_t n) {

@@ -1,7 +1,7 @@
 // Fast binary serialization of labelled CSR matrices.
 //
 // Layout: magic "TPA2", little-endian header (rows, cols, nnz, label count),
-// raw arrays, then a WideFnv1a digest of everything after the magic.  Used
+// raw arrays, then a WideHash digest of everything after the magic.  Used
 // by the bench harness to cache generated datasets between runs, and as the
 // per-shard chunk format of the out-of-core store (store/format.hpp): every
 // shard file is a self-checksummed TPA2 slice, so the whole store machinery
@@ -13,10 +13,11 @@
 // output while folding it into a running digest (O(1) heap beyond the
 // caller's arrays), and the reader checksums as it fills the destination
 // vectors.  Readers check the header against the bytes actually available,
-// with overflow-checked arithmetic, before they allocate anything, so an
-// inflated length field is a clean std::runtime_error, never a giant
-// allocation.  read_binary_header() peeks at the shape without touching the
-// payload — the store manifest validates shard files this way.
+// with overflow-checked arithmetic, before they allocate anything (a stream
+// that cannot seek allocates only as its bytes arrive), so an inflated
+// length field is a clean std::runtime_error, never a giant allocation.
+// read_binary_header() peeks at the shape without touching the payload —
+// the store manifest validates shard files this way.
 #pragma once
 
 #include <array>
@@ -52,38 +53,37 @@ class Fnv1a {
 std::uint64_t fnv1a(const void* data, std::size_t bytes,
                     std::uint64_t seed = Fnv1a::kOffsetBasis);
 
-/// Word-parallel FNV-1a, the digest of the TPA2 image.  The input is cut
-/// into 8-byte little-endian words; word k is folded into lane k mod 4 with
-/// the FNV-1a step (h ^= w; h *= prime), so four independent multiply
-/// chains run side by side instead of one chain per byte.  digest() folds
-/// the four lanes and the byte length into one FNV-1a state, then the
-/// trailing (< 8) bytes byte by byte.  Chained updates equal one update
-/// over the concatenation.
+/// Word-parallel 64-bit hash, the digest of the TPA2 image.  The input is
+/// cut into 8-byte little-endian words; word k is mixed into lane k mod 4
+/// with an xxHash64-style round, lane = rotl(lane + w * P2, 31) * P1, so
+/// four independent multiply chains run side by side.  digest() merges the
+/// four lanes and the byte length into one state, one round each, then the
+/// trailing (< 8) bytes one by one, and ends with an avalanche.  Chained
+/// updates equal one update over the concatenation.
 ///
-/// Detection guarantee: each step is a bijection of the state it updates
-/// (xor with the input, then multiply by an odd constant mod 2^64), so a
-/// change confined to one 8-byte word changes its lane's final value and
-/// therefore the digest; the same holds for a change to one tail byte.
-class WideFnv1a {
+/// Detection guarantee: every step is a bijection of the input it mixes in
+/// for a fixed state (odd multiplies, an add, a rotation, an xor), and
+/// each word, lane, the length and each tail byte enters exactly once; so a
+/// change confined to one 8-byte word, or to one tail byte, always changes
+/// the digest.  The rotation carries each word's high bits down into the
+/// low bits of the next multiply, so no bit stays in a fixed position
+/// through the chain (plain FNV-1a lanes keep bit 63 of every word on bit
+/// 63: two flipped sign bits would cancel).
+class WideHash {
  public:
   static constexpr std::size_t kLanes = 4;
   static constexpr std::size_t kBlockBytes = kLanes * sizeof(std::uint64_t);
 
+  WideHash() noexcept;
   void update(const void* data, std::size_t bytes) noexcept;
   std::uint64_t digest() const noexcept;
 
  private:
-  std::array<std::uint64_t, kLanes> lanes_ = {
-      Fnv1a::kOffsetBasis, Fnv1a::kOffsetBasis ^ 0x9e3779b97f4a7c15ULL,
-      Fnv1a::kOffsetBasis ^ 0x3c6ef372fe94f82aULL,
-      Fnv1a::kOffsetBasis ^ 0xdaa66d2c7ddf743fULL};
+  std::array<std::uint64_t, kLanes> lanes_;
   std::array<unsigned char, kBlockBytes> pending_{};  // partial block
   std::size_t pending_bytes_ = 0;
   std::uint64_t length_ = 0;
 };
-
-/// One-shot WideFnv1a over a byte range.
-std::uint64_t wide_fnv1a(const void* data, std::size_t bytes);
 
 /// A well-formed image of a retired format version (TPA1).  Its data may
 /// be intact, but this build does not read it: re-shard the store (or
@@ -119,8 +119,10 @@ void write_binary_file(const std::string& path, const LabeledMatrix& data);
 /// Deserializes; every failure (truncation, bad magic, a header that does
 /// not fit the available bytes, labels != rows, checksum mismatch, an
 /// invalid CSR structure) is a std::runtime_error, UnsupportedFormatError
-/// for a TPA1 image.  The stream must be seekable (the reader measures the
-/// bytes left before it allocates).  `recycle` lends its arrays' capacity:
+/// for a TPA1 image.  A seekable stream is measured first and every array
+/// sized up front; a stream that cannot seek (a pipe) grows each array as
+/// its bytes arrive, so an inflated length still fails as truncation, not
+/// in allocation.  `recycle` lends its arrays' capacity:
 /// the result is decoded into them, so reading a stream of similar-shaped
 /// images allocates nothing in steady state.
 LabeledMatrix read_binary(std::istream& in, LabeledMatrix recycle = {});

@@ -47,14 +47,7 @@ struct Mapping {
       data = nullptr;
       return;
     }
-    // Pre-faulting the whole (read-once) image in the mmap call costs one
-    // kernel walk instead of a minor fault per page during the decode.
-#ifdef MAP_POPULATE
-    constexpr int kFlags = MAP_PRIVATE | MAP_POPULATE;
-#else
-    constexpr int kFlags = MAP_PRIVATE;
-#endif
-    data = ::mmap(nullptr, size, PROT_READ, kFlags, fd, 0);
+    data = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
     if (data == MAP_FAILED) {
       ::close(fd);
       throw std::runtime_error("cannot mmap " + path);

@@ -7,11 +7,10 @@
 //   kBuffered — plain double-buffered stream reads (sparse::read_binary on
 //     an ifstream): the OS page cache is the only cache, working-set cost
 //     is one shard's arrays.  The portable default.
-//   kMmap     — the shard file is mapped read-only (pre-faulted where the
-//     host supports it) and decoded from the mapping (sparse::read_binary
-//     on the image), then unmapped.  Saves one user-space copy of the raw
-//     bytes on hosts with mmap; silently falls back to kBuffered where
-//     POSIX mmap is unavailable.
+//   kMmap     — the shard file is mapped read-only and decoded from the
+//     mapping (sparse::read_binary on the image), then unmapped.  Saves
+//     one user-space copy of the raw bytes on hosts with mmap; silently
+//     falls back to kBuffered where POSIX mmap is unavailable.
 //
 // Every read validates: manifest-declared file size vs. the actual file,
 // header shape vs. the manifest row/nnz entry, the shard's trailing TPA2
@@ -19,10 +18,10 @@
 // read_binary).  A shard that fails any check throws std::runtime_error
 // naming the shard and its path (sparse::UnsupportedFormatError, same
 // context, for a TPA1 shard) — a truncated or corrupted shard can never
-// reach a solver.  The decoded arrays go into `recycle`'s capacity.  Reads are thread-safe (no shared mutable state), which
-// is what lets the prefetch pipeline pull shard k+1 while the solver owns
-// shard k.  Bytes read land on the "store.bytes_read" counter under a
-// "store/load" span.
+// reach a solver.  The decoded arrays go into `recycle`'s capacity.  Reads
+// are thread-safe (no shared mutable state), which is what lets the
+// prefetch pipeline pull shard k+1 while the solver owns shard k.  Bytes
+// read land on the "store.bytes_read" counter under a "store/load" span.
 #pragma once
 
 #include <cstddef>

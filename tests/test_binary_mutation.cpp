@@ -2,12 +2,15 @@
 // truncated and given inflated rows/nnz/labels fields (with the digest left
 // stale and with it recomputed, so only the size checks stand between a
 // lying header and an allocation), then run through the stream reader, the
-// memory reader and ShardReader in both read modes.  Every case must end in
-// a std::runtime_error or in an exact round trip: a decoded result that
-// re-encodes to the input bytes.  Anything else — std::bad_alloc,
-// std::length_error, std::invalid_argument, a crash under ASan — fails.
+// memory reader, a stream that cannot seek (a pipe) and ShardReader in
+// both read modes.  Every case must end in a std::runtime_error or in an
+// exact round trip: a decoded result that re-encodes to the input bytes.
+// Anything else — std::bad_alloc, std::length_error,
+// std::invalid_argument, a crash under ASan — fails.
 // The word-parallel digest's guarantee is then checked exhaustively: any
-// change confined to one 8-byte word of a small image is detected.
+// change confined to one 8-byte word of a small image is detected, and so
+// is any pair of flipped word sign bits (bit 63), which no odd multiply
+// moves and plain FNV-1a lanes therefore miss.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -35,6 +38,9 @@ constexpr std::size_t kRowsAt = kMagicBytes;
 constexpr std::size_t kColsAt = kMagicBytes + 8;
 constexpr std::size_t kNnzAt = kMagicBytes + 16;
 constexpr std::size_t kLabelsAt = kMagicBytes + 24;
+constexpr std::size_t kOffsetsAt = kMagicBytes + 32;
+// Stream, pipe, memory, and ShardReader buffered and mmap.
+constexpr int kReaders = 5;
 
 // 13 ragged rows (one empty): the digested region is 4 bytes past a word
 // boundary, so the byte-wise tail is exercised too.
@@ -73,13 +79,31 @@ void put_u64(std::string& image, std::size_t at, std::uint64_t value) {
   std::memcpy(image.data() + at, &value, sizeof(value));
 }
 
+std::uint64_t digest_of(const void* data, std::size_t bytes) {
+  WideHash hash;
+  hash.update(data, bytes);
+  return hash.digest();
+}
+
 // Recomputes the trailing digest, as a forger would.
 void redigest(std::string& image) {
   if (image.size() < kMagicBytes + kDigestBytes) return;
   put_u64(image, image.size() - kDigestBytes,
-          wide_fnv1a(image.data() + kMagicBytes,
-                     image.size() - kMagicBytes - kDigestBytes));
+          digest_of(image.data() + kMagicBytes,
+                    image.size() - kMagicBytes - kDigestBytes));
 }
+
+// An input stream over a string that cannot seek, like a pipe: tellg()
+// fails, so the reader cannot measure it before reading.
+class PipeBuf : public std::streambuf {
+ public:
+  explicit PipeBuf(std::string bytes) : bytes_(std::move(bytes)) {
+    setg(bytes_.data(), bytes_.data(), bytes_.data() + bytes_.size());
+  }
+
+ private:
+  std::string bytes_;
+};
 
 class BinaryMutationTest : public ::testing::Test {
  protected:
@@ -117,11 +141,16 @@ class BinaryMutationTest : public ::testing::Test {
     }
   }
 
-  // All four readers; returns how many rejected the image.
+  // Every reader; returns how many rejected the image.
   int run_all(const std::string& image, const std::string& label) {
     int rejected = 0;
     rejected += typed_or_exact(image, label + " [stream]", [&] {
       std::istringstream in(image);
+      return read_binary(in);
+    });
+    rejected += typed_or_exact(image, label + " [pipe]", [&] {
+      PipeBuf pipe(image);
+      std::istream in(&pipe);
       return read_binary(in);
     });
     rejected += typed_or_exact(image, label + " [memory]", [&] {
@@ -169,7 +198,8 @@ TEST_F(BinaryMutationTest, SeededBitFlipsAreRejected) {
       image[byte] = static_cast<char>(image[byte] ^ (1 << rng.uniform_index(8)));
     }
     if (image == image_) continue;  // flips that cancelled out
-    EXPECT_EQ(run_all(image, "flip trial " + std::to_string(trial)), 4);
+    EXPECT_EQ(run_all(image, "flip trial " + std::to_string(trial)),
+              kReaders);
   }
 }
 
@@ -177,7 +207,7 @@ TEST_F(BinaryMutationTest, EveryTruncationIsRejected) {
   for (std::size_t size = 0; size < image_.size(); ++size) {
     EXPECT_EQ(run_all(image_.substr(0, size),
                       "truncated to " + std::to_string(size)),
-              4);
+              kReaders);
   }
 }
 
@@ -205,7 +235,9 @@ TEST_F(BinaryMutationTest, InflatedLengthFieldsFailBeforeAllocating) {
         // a larger cols) is a valid image and may decode: run_all checks
         // that it then re-encodes exactly.  Stale digests always fail.
         const int rejected = run_all(image, label);
-        if (!forged) EXPECT_EQ(rejected, 4) << label;
+        if (!forged) {
+          EXPECT_EQ(rejected, kReaders) << label;
+        }
       }
     }
   }
@@ -218,7 +250,7 @@ TEST_F(BinaryMutationTest, LabelCountMustEqualRows) {
   put_u64(image, kLabelsAt, get_u64(image, kLabelsAt) - 2);
   put_u64(image, kNnzAt, get_u64(image, kNnzAt) + 1);  // same total bytes
   redigest(image);
-  EXPECT_EQ(run_all(image, "labels != rows"), 4);
+  EXPECT_EQ(run_all(image, "labels != rows"), kReaders);
 }
 
 TEST_F(BinaryMutationTest, ForgedArraysFailCsrValidationAsRuntimeErrors) {
@@ -226,7 +258,6 @@ TEST_F(BinaryMutationTest, ForgedArraysFailCsrValidationAsRuntimeErrors) {
   // pointing past the index array (the row ranges must be checked before
   // any index is read), a decreasing offset, an out-of-range and a
   // repeated column index.
-  constexpr std::size_t kOffsetsAt = kMagicBytes + 32;
   const std::size_t rows = original_.matrix.rows();
   const std::size_t indices_at = kOffsetsAt + 8 * (rows + 1);
   const std::uint64_t nnz = original_.matrix.nnz();
@@ -250,7 +281,7 @@ TEST_F(BinaryMutationTest, ForgedArraysFailCsrValidationAsRuntimeErrors) {
     }
     redigest(image);
     EXPECT_EQ(run_all(image, "forged array @" + std::to_string(forgery.at)),
-              4);
+              kReaders);
   }
 }
 
@@ -288,13 +319,13 @@ TEST_F(BinaryMutationTest, RetiredFormatIsRefusedWithItsOwnType) {
   }
 }
 
-TEST(WideFnv1a, ChainedUpdatesEqualOneShotAtEverySplit) {
+TEST(WideHash, ChainedUpdatesEqualOneShotAtEverySplit) {
   std::string bytes;
   for (int i = 0; i < 100; ++i) bytes.push_back(static_cast<char>(i * 37 + 11));
-  const std::uint64_t whole = wide_fnv1a(bytes.data(), bytes.size());
+  const std::uint64_t whole = digest_of(bytes.data(), bytes.size());
   for (std::size_t a = 0; a <= bytes.size(); a += 3) {
     for (std::size_t b = a; b <= bytes.size(); b += 7) {
-      WideFnv1a chained;
+      WideHash chained;
       chained.update(bytes.data(), a);
       chained.update(bytes.data() + a, b - a);
       chained.update(bytes.data() + b, bytes.size() - b);
@@ -303,15 +334,16 @@ TEST(WideFnv1a, ChainedUpdatesEqualOneShotAtEverySplit) {
   }
 }
 
-TEST(WideFnv1a, LengthAndTailAreFolded) {
+TEST(WideHash, LengthAndTailAreFolded) {
   const std::string zeros(64, '\0');
-  // Zero words leave lanes distinguishable only through the length fold.
-  EXPECT_NE(wide_fnv1a(zeros.data(), 32), wide_fnv1a(zeros.data(), 40));
-  EXPECT_NE(wide_fnv1a(zeros.data(), 33), wide_fnv1a(zeros.data(), 34));
-  EXPECT_NE(wide_fnv1a(zeros.data(), 0), wide_fnv1a(zeros.data(), 1));
+  // Zero bytes still count: sizes that differ only in zero words or zero
+  // tail bytes hash apart.
+  EXPECT_NE(digest_of(zeros.data(), 32), digest_of(zeros.data(), 40));
+  EXPECT_NE(digest_of(zeros.data(), 33), digest_of(zeros.data(), 34));
+  EXPECT_NE(digest_of(zeros.data(), 0), digest_of(zeros.data(), 1));
   // Pinned value: the TPA2 digest is part of the on-disk format.
   const std::string text = "the quick brown fox jumps over the lazy dog";
-  EXPECT_EQ(wide_fnv1a(text.data(), text.size()), 0x76dcd08d06c41740ULL);
+  EXPECT_EQ(digest_of(text.data(), text.size()), 0xba001019587764b2ULL);
 }
 
 TEST_F(BinaryMutationTest, AnyChangeWithinOneWordIsDetected) {
@@ -321,7 +353,7 @@ TEST_F(BinaryMutationTest, AnyChangeWithinOneWordIsDetected) {
   const std::string region =
       image_.substr(kMagicBytes, image_.size() - kMagicBytes - kDigestBytes);
   ASSERT_NE(region.size() % 8, 0u) << "the image should have a byte tail";
-  const std::uint64_t clean = wide_fnv1a(region.data(), region.size());
+  const std::uint64_t clean = digest_of(region.data(), region.size());
   util::Rng rng(77);
   const std::size_t words = region.size() / 8;
   for (std::size_t w = 0; w <= words; ++w) {
@@ -331,7 +363,7 @@ TEST_F(BinaryMutationTest, AnyChangeWithinOneWordIsDetected) {
       std::string mutated = region;
       mutated[begin + bit / 8] =
           static_cast<char>(mutated[begin + bit / 8] ^ (1 << (bit % 8)));
-      ASSERT_NE(wide_fnv1a(mutated.data(), mutated.size()), clean)
+      ASSERT_NE(digest_of(mutated.data(), mutated.size()), clean)
           << "word " << w << " bit " << bit;
     }
     if (width < 8) continue;  // multi-byte patterns: whole words only
@@ -340,7 +372,7 @@ TEST_F(BinaryMutationTest, AnyChangeWithinOneWordIsDetected) {
       if (mask == 0) mask = 1;
       std::string mutated = region;
       put_u64(mutated, begin, get_u64(mutated, begin) ^ mask);
-      ASSERT_NE(wide_fnv1a(mutated.data(), mutated.size()), clean)
+      ASSERT_NE(digest_of(mutated.data(), mutated.size()), clean)
           << "word " << w << " mask " << mask;
     }
   }
@@ -353,6 +385,55 @@ TEST_F(BinaryMutationTest, AnyChangeWithinOneWordIsDetected) {
     EXPECT_THROW(read_binary(image.data(), image.size()), std::runtime_error)
         << "word " << w;
   }
+}
+
+TEST_F(BinaryMutationTest, PairsOfFlippedSignBitsAreDetected) {
+  // Flipping bit 63 adds 2^63, and 2^63 times an odd number is 2^63 again:
+  // a multiply-only lane keeps such a change on bit 63 forever, so two of
+  // them cancel.  Exhaustive over all pairs of words of the digested region.
+  const std::string region =
+      image_.substr(kMagicBytes, image_.size() - kMagicBytes - kDigestBytes);
+  const std::uint64_t clean = digest_of(region.data(), region.size());
+  constexpr std::uint64_t kSign = std::uint64_t{1} << 63;
+  const std::size_t words = region.size() / 8;
+  for (std::size_t a = 0; a < words; ++a) {
+    for (std::size_t b = a + 1; b < words; ++b) {
+      std::string mutated = region;
+      put_u64(mutated, 8 * a, get_u64(mutated, 8 * a) ^ kSign);
+      put_u64(mutated, 8 * b, get_u64(mutated, 8 * b) ^ kSign);
+      ASSERT_NE(digest_of(mutated.data(), mutated.size()), clean)
+          << "words " << a << " and " << b;
+    }
+  }
+  // Through every reader: two float sign bits that sit on word bit 63 (a
+  // value or a label, in the same lane or in different lanes) make an
+  // image whose arrays are still a valid CSR matrix.
+  const std::size_t rows = original_.matrix.rows();
+  const std::size_t nnz = original_.matrix.nnz();
+  const std::size_t values_at = kOffsetsAt + 8 * (rows + 1) + 4 * nnz;
+  const std::size_t floats_end = values_at + 4 * (nnz + rows);
+  std::vector<std::size_t> sign_bytes;  // the byte holding bit 63
+  for (std::size_t at = values_at; at < floats_end; at += 4) {
+    if ((at + 3 - kMagicBytes) % 8 == 7) sign_bytes.push_back(at + 3);
+  }
+  int same_lane = 0;
+  int other_lane = 0;
+  for (std::size_t a = 0; a < sign_bytes.size(); ++a) {
+    for (std::size_t b = a + 1; b < sign_bytes.size(); ++b) {
+      const std::size_t word_a = (sign_bytes[a] - kMagicBytes) / 8;
+      const std::size_t word_b = (sign_bytes[b] - kMagicBytes) / 8;
+      const bool same = word_a % WideHash::kLanes == word_b % WideHash::kLanes;
+      (same ? same_lane : other_lane) += 1;
+      std::string image = image_;
+      image[sign_bytes[a]] = static_cast<char>(image[sign_bytes[a]] ^ 0x80);
+      image[sign_bytes[b]] = static_cast<char>(image[sign_bytes[b]] ^ 0x80);
+      EXPECT_EQ(run_all(image, "sign bits of words " + std::to_string(word_a) +
+                                   " and " + std::to_string(word_b)),
+                kReaders);
+    }
+  }
+  EXPECT_GT(same_lane, 0);
+  EXPECT_GT(other_lane, 0);
 }
 
 }  // namespace

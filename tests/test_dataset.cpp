@@ -35,7 +35,8 @@ TEST(Dataset, RowAndColumnViewsAgree) {
 
 TEST(Dataset, CachedNormsMatchMatrices) {
   const auto dataset = small_dataset();
-  const auto row_norms = dataset.by_row().row_squared_norms();
+  std::vector<double> row_norms(dataset.num_examples());
+  dataset.by_row().row_squared_norms(row_norms);
   const auto col_norms = dataset.by_col().col_squared_norms();
   for (Index r = 0; r < dataset.num_examples(); ++r) {
     EXPECT_DOUBLE_EQ(dataset.row_squared_norms()[r], row_norms[r]);

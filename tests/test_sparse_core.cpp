@@ -95,8 +95,8 @@ TEST(CsrMatrix, PointLookup) {
 }
 
 TEST(CsrMatrix, RowSquaredNorms) {
-  const auto norms = small_csr().row_squared_norms();
-  ASSERT_EQ(norms.size(), 3u);
+  std::vector<double> norms(3);
+  small_csr().row_squared_norms(norms);
   EXPECT_DOUBLE_EQ(norms[0], 5.0);
   EXPECT_DOUBLE_EQ(norms[1], 0.0);
   EXPECT_DOUBLE_EQ(norms[2], 25.0);
