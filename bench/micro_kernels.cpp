@@ -190,23 +190,30 @@ BENCHMARK(BM_PoolWakeup)
     ->Arg(2048)   // spin-then-park (the multi-core default budget)
     ->ArgName("spin");
 
-// ReplicaSet::merge_into: fused diff-add of every replica against the
-// pre-round base plus the replica reseed.  The argument is the replica
-// count; per-merge cost should scale as (replicas + 1) dense passes.
+// ReplicaSet::merge_into after one sparse round: every replica scatters one
+// 48-nnz vector (a dual coordinate of the webspam-like rows), then the merge
+// folds and reseeds only the dirty lines.  The argument is the replica
+// count; per-merge cost should scale with the lines written, not with dim.
 void BM_ReplicaMerge(benchmark::State& state) {
   const std::size_t dim = 1 << 16;
-  const auto count = static_cast<std::size_t>(state.range(0));
+  const auto count = static_cast<int>(state.range(0));
   core::ReplicaSet replicas;
   replicas.configure(dim, count);
   std::vector<float> global(dim, 0.5F);
   replicas.reset_from(global);
+  std::vector<sparse::Index> indices(48);
+  const std::vector<sparse::Value> values(indices.size(), 1e-3F);
+  for (std::size_t k = 0; k < indices.size(); ++k) {
+    indices[k] = static_cast<sparse::Index>(k * (dim / indices.size()));
+  }
+  const sparse::SparseVectorView row{indices, values};
   for (auto _ : state) {
+    for (int r = 0; r < count; ++r) replicas.scatter(r, 1.0, row);
     replicas.merge_into(global);
     benchmark::DoNotOptimize(global.data());
   }
-  state.counters["entries/s"] = benchmark::Counter(
-      static_cast<double>(dim * count) * state.iterations(),
-      benchmark::Counter::kIsRate);
+  state.counters["merges/s"] = benchmark::Counter(
+      static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_ReplicaMerge)->Arg(1)->Arg(4)->Arg(8)->ArgName("replicas");
 

@@ -37,16 +37,13 @@ EpochReport AsyncScdSolver::run_epoch() {
   }();
   const auto stats = [&] {
     obs::TraceSpan sweep("async_scd/sweep");
-    const auto compute = [this](sparse::Index j,
-                                std::span<const float> shared) {
+    // One coordinate formula for both storage widths (DESIGN.md §16).
+    const auto delta = [this](sparse::Index j, auto shared) {
       return problem_->coordinate_delta(formulation_, j, shared,
                                         state_.weights[j]);
     };
-    const auto compute_half = [this](sparse::Index j,
-                                     std::span<const linalg::Half> shared) {
-      return problem_->coordinate_delta(formulation_, j, shared,
-                                        state_.weights[j]);
-    };
+    const AsyncEngine::ComputeFn compute = delta;
+    const AsyncEngine::ComputeHalfFn compute_half = delta;
     const auto vec_of = [this](sparse::Index j) {
       return problem_->coordinate_vector(formulation_, j);
     };

@@ -103,9 +103,12 @@ int replica_merge_interval(std::uint64_t nnz, std::uint64_t num_coordinates,
       static_cast<double>(nnz) /
       static_cast<double>(std::max<std::uint64_t>(1, num_coordinates));
   // Merge cost: t diff-accumulate passes + (t+1) reseed copies, each a
-  // dense pass over shared_dim (~(3t+2)·dim entries).  Update traffic
-  // between merges: t threads × interval updates × 2·nnz_per_coord entries.
-  // Budget the former at 10% of the latter.
+  // dense pass over shared_dim (~(3t+2)·dim entries).  Merges now touch
+  // only the lines the workers wrote, so this is an upper bound; it is
+  // kept as is on purpose, because on tall, narrow inputs it is the
+  // binding term and a smaller one would move their trajectories.  Update
+  // traffic between merges: t threads × interval updates × 2·nnz_per_coord
+  // entries.  Budget the former at 10% of the latter.
   const double merge_entries =
       static_cast<double>(3 * t + 2) * static_cast<double>(shared_dim);
   const double per_round_entries =

@@ -50,6 +50,30 @@ util::ThreadPool* effective_pool(util::ThreadPool* pool,
              : nullptr;
 }
 
+// The closed-form steps against a shared vector stored as T (float or
+// linalg::Half): the half kernels widen each gathered element exactly, so
+// the formulas are the same for both.
+template <typename T>
+double closed_form_delta(const RidgeProblem& problem, Formulation f, Index j,
+                         std::span<const T> shared, double weight_j) {
+  const auto n = static_cast<double>(problem.effective_examples());
+  const double lambda = problem.lambda();
+  const auto vec = problem.coordinate_vector(f, j);
+  const double norm_sq = problem.coordinate_squared_norm(f, j);
+  const auto labels = problem.dataset().labels();
+  if (f == Formulation::kPrimal) {
+    // Eq. (2): Δβ = (⟨y − w, a_m⟩ − Nλβ_m) / (||a_m||² + Nλ).
+    const double residual_dot =
+        linalg::sparse_residual_dot(vec, labels, shared);
+    return (residual_dot - n * lambda * weight_j) / (norm_sq + n * lambda);
+  }
+  // Eq. (4): Δα = (λyₙ − ⟨w̄, āₙ⟩ − λNαₙ) / (λN + ||āₙ||²).
+  const double wbar_dot = linalg::sparse_dot(vec, shared);
+  const double y_n = labels[j];
+  return (lambda * y_n - wbar_dot - lambda * n * weight_j) /
+         (lambda * n + norm_sq);
+}
+
 }  // namespace
 
 RidgeProblem::RidgeProblem(const data::Dataset& dataset, double lambda,
@@ -93,39 +117,13 @@ double RidgeProblem::coordinate_squared_norm(Formulation f, Index j) const {
 double RidgeProblem::coordinate_delta(Formulation f, Index j,
                                       std::span<const float> shared,
                                       double weight_j) const {
-  const auto n = static_cast<double>(effective_examples());
-  const auto vec = coordinate_vector(f, j);
-  const double norm_sq = coordinate_squared_norm(f, j);
-  if (f == Formulation::kPrimal) {
-    // Eq. (2): Δβ = (⟨y − w, a_m⟩ − Nλβ_m) / (||a_m||² + Nλ).
-    const double residual_dot =
-        linalg::sparse_residual_dot(vec, dataset_->labels(), shared);
-    return (residual_dot - n * lambda_ * weight_j) / (norm_sq + n * lambda_);
-  }
-  // Eq. (4): Δα = (λyₙ − ⟨w̄, āₙ⟩ − λNαₙ) / (λN + ||āₙ||²).
-  const double wbar_dot = linalg::sparse_dot(vec, shared);
-  const double y_n = dataset_->labels()[j];
-  return (lambda_ * y_n - wbar_dot - lambda_ * n * weight_j) /
-         (lambda_ * n + norm_sq);
+  return closed_form_delta(*this, f, j, shared, weight_j);
 }
 
 double RidgeProblem::coordinate_delta(Formulation f, Index j,
                                       std::span<const linalg::Half> shared,
                                       double weight_j) const {
-  // Same closed-form steps as the float overload; the half kernels widen
-  // each gathered element exactly, so the formulas are untouched.
-  const auto n = static_cast<double>(effective_examples());
-  const auto vec = coordinate_vector(f, j);
-  const double norm_sq = coordinate_squared_norm(f, j);
-  if (f == Formulation::kPrimal) {
-    const double residual_dot =
-        linalg::sparse_residual_dot(vec, dataset_->labels(), shared);
-    return (residual_dot - n * lambda_ * weight_j) / (norm_sq + n * lambda_);
-  }
-  const double wbar_dot = linalg::sparse_dot(vec, shared);
-  const double y_n = dataset_->labels()[j];
-  return (lambda_ * y_n - wbar_dot - lambda_ * n * weight_j) /
-         (lambda_ * n + norm_sq);
+  return closed_form_delta(*this, f, j, shared, weight_j);
 }
 
 double RidgeProblem::primal_objective(std::span<const float> beta,

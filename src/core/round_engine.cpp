@@ -1,6 +1,7 @@
 #include "core/round_engine.hpp"
 
 #include <stdexcept>
+#include <type_traits>
 
 #include "linalg/vector_ops.hpp"
 
@@ -87,11 +88,20 @@ AsyncEngineStats AsyncEngine::run_epoch(std::span<const std::uint32_t> order,
   return stats;
 }
 
-AsyncEngineStats AsyncEngine::run_epoch_replicated(
-    std::span<const std::uint32_t> order, const ComputeFn& compute,
-    const VectorFn& vec_of, const WeightFn& apply_weight,
-    std::span<float> shared, ReplicaSet& replicas, int merge_every,
-    double damping) {
+namespace {
+
+// The replicated pipeline over replicas stored as T (float, or linalg::Half
+// for the fp16 pipeline: the lane's gather widens exactly, the scatter
+// narrows with RNE, and the merge folds half deltas in double — storage
+// precision is the only difference).
+template <typename T, typename Compute>
+AsyncEngineStats run_replicated(std::size_t window,
+                                std::span<const std::uint32_t> order,
+                                const Compute& compute,
+                                const AsyncEngine::VectorFn& vec_of,
+                                const AsyncEngine::WeightFn& apply_weight,
+                                std::span<float> shared, ReplicaSet& replicas,
+                                int merge_every, double damping) {
   if (merge_every <= 0) {
     throw std::invalid_argument(
         "AsyncEngine::run_epoch_replicated: merge_every must be positive");
@@ -101,19 +111,21 @@ AsyncEngineStats AsyncEngine::run_epoch_replicated(
         "AsyncEngine::run_epoch_replicated: damping must be in (0, 1]");
   }
   AsyncEngineStats stats;
-  replicas.configure(shared.size(), static_cast<int>(window_));
+  replicas.configure(shared.size(), static_cast<int>(window),
+                     std::is_same_v<T, linalg::Half>
+                         ? linalg::SharedPrecision::kFp16
+                         : linalg::SharedPrecision::kFp32);
   // Reseed every epoch: callers (the distributed solver in particular) may
   // overwrite `shared` between epochs.
   replicas.reset_from(shared);
 
   // One merge interval = merge_every updates per lane.
   const std::uint64_t interval =
-      static_cast<std::uint64_t>(window_) *
+      static_cast<std::uint64_t>(window) *
       static_cast<std::uint64_t>(merge_every);
   std::uint64_t since_merge = 0;
   for (std::size_t p = 0; p < order.size(); ++p) {
-    const int lane = static_cast<int>(p % window_);
-    auto rep = replicas.replica(lane);
+    const int lane = static_cast<int>(p % window);
     const auto j = order[p];
     // The lane reads its own replica: the last merge plus its own updates
     // since — other lanes' post-merge updates are invisible until the next
@@ -121,12 +133,12 @@ AsyncEngineStats AsyncEngine::run_epoch_replicated(
     // Under-relax the exact coordinate step by θ (1.0 within the safe
     // staleness budget): weight and shared contributions scale together, so
     // the w = A^T·α invariant is preserved at any damping.
-    const double step = damping * compute(j, rep);
+    const double step = damping * compute(j, replicas.view<T>(lane));
     apply_weight(j, step);
     const auto vec = vec_of(j);
     // Plain in-order stores into private storage; nothing races, nothing is
     // lost, and the result is independent of any physical schedule.
-    linalg::sparse_axpy(step, vec, rep);
+    replicas.scatter(lane, step, vec);
     ++stats.updates;
     stats.committed_entries += vec.nnz();
     if (++since_merge >= interval) {
@@ -136,6 +148,17 @@ AsyncEngineStats AsyncEngine::run_epoch_replicated(
   }
   if (since_merge > 0) replicas.merge_into(shared);
   return stats;
+}
+
+}  // namespace
+
+AsyncEngineStats AsyncEngine::run_epoch_replicated(
+    std::span<const std::uint32_t> order, const ComputeFn& compute,
+    const VectorFn& vec_of, const WeightFn& apply_weight,
+    std::span<float> shared, ReplicaSet& replicas, int merge_every,
+    double damping) {
+  return run_replicated<float>(window_, order, compute, vec_of, apply_weight,
+                               shared, replicas, merge_every, damping);
 }
 
 AsyncEngineStats AsyncEngine::run_epoch_replicated(
@@ -148,43 +171,9 @@ AsyncEngineStats AsyncEngine::run_epoch_replicated(
     return run_epoch_replicated(order, compute, vec_of, apply_weight, shared,
                                 replicas, merge_every, damping);
   }
-  if (merge_every <= 0) {
-    throw std::invalid_argument(
-        "AsyncEngine::run_epoch_replicated: merge_every must be positive");
-  }
-  if (!(damping > 0.0) || damping > 1.0) {
-    throw std::invalid_argument(
-        "AsyncEngine::run_epoch_replicated: damping must be in (0, 1]");
-  }
-  // The fp16 pipeline is the fp32 one with half-stored replicas: the lane's
-  // gather widens exactly, the scatter narrows with RNE, and the merge folds
-  // half deltas in double — storage precision is the only difference.
-  AsyncEngineStats stats;
-  replicas.configure(shared.size(), static_cast<int>(window_),
-                     linalg::SharedPrecision::kFp16);
-  replicas.reset_from(shared);
-
-  const std::uint64_t interval =
-      static_cast<std::uint64_t>(window_) *
-      static_cast<std::uint64_t>(merge_every);
-  std::uint64_t since_merge = 0;
-  for (std::size_t p = 0; p < order.size(); ++p) {
-    const int lane = static_cast<int>(p % window_);
-    auto rep = replicas.replica_half(lane);
-    const auto j = order[p];
-    const double step = damping * compute_half(j, rep);
-    apply_weight(j, step);
-    const auto vec = vec_of(j);
-    linalg::sparse_axpy(step, vec, rep);
-    ++stats.updates;
-    stats.committed_entries += vec.nnz();
-    if (++since_merge >= interval) {
-      replicas.merge_into(shared);
-      since_merge = 0;
-    }
-  }
-  if (since_merge > 0) replicas.merge_into(shared);
-  return stats;
+  return run_replicated<linalg::Half>(window_, order, compute_half, vec_of,
+                                      apply_weight, shared, replicas,
+                                      merge_every, damping);
 }
 
 }  // namespace tpa::core

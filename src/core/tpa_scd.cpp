@@ -18,6 +18,10 @@ gpusim::EpochWorkload make_workload(const RidgeProblem& problem,
   return w;
 }
 
+// A shared-vector element as the block reads it: fp16 widens exactly.
+float as_float(float x) { return x; }
+float as_float(linalg::Half x) { return linalg::half_to_float(x); }
+
 }  // namespace
 
 TpaScdSolver::TpaScdSolver(const RidgeProblem& problem, Formulation f,
@@ -67,55 +71,28 @@ EpochReport TpaScdSolver::run_epoch() {
   obs::TraceSpan sweep("tpa_scd/sweep");
   // The thread-block body of Algorithm 2: strided partial inner product
   // in 32-bit floats, shared-memory tree reduction, then thread 0's
-  // closed-form delta.
-  const AsyncEngine::ComputeFn compute =
-      [&](sparse::Index j, std::span<const float> shared) {
-        const auto vec = problem_->coordinate_vector(formulation_, j);
-        const double norm_sq =
-            problem_->coordinate_squared_norm(formulation_, j);
-        if (formulation_ == Formulation::kPrimal) {
-          const double dot = block_.strided_reduce(
-              vec.nnz(), [&](std::size_t k) {
-                const auto i = vec.indices[k];
-                return (labels[i] - shared[i]) * vec.values[k];
-              });
-          return (dot - n * lambda * state_.weights[j]) /
-                 (norm_sq + n * lambda);
-        }
-        const double dot = block_.strided_reduce(
-            vec.nnz(), [&](std::size_t k) {
-              return shared[vec.indices[k]] * vec.values[k];
-            });
-        return (lambda * labels[j] - dot -
-                lambda * n * state_.weights[j]) /
-               (lambda * n + norm_sq);
-      };
-  // The same block body against an fp16-stored replica: gathers widen each
-  // element exactly, so only the storage rounding differs (DESIGN.md §16).
-  const AsyncEngine::ComputeHalfFn compute_half =
-      [&](sparse::Index j, std::span<const linalg::Half> shared) {
-        const auto vec = problem_->coordinate_vector(formulation_, j);
-        const double norm_sq =
-            problem_->coordinate_squared_norm(formulation_, j);
-        if (formulation_ == Formulation::kPrimal) {
-          const double dot = block_.strided_reduce(
-              vec.nnz(), [&](std::size_t k) {
-                const auto i = vec.indices[k];
-                return (labels[i] - linalg::half_to_float(shared[i])) *
-                       vec.values[k];
-              });
-          return (dot - n * lambda * state_.weights[j]) /
-                 (norm_sq + n * lambda);
-        }
-        const double dot = block_.strided_reduce(
-            vec.nnz(), [&](std::size_t k) {
-              return linalg::half_to_float(shared[vec.indices[k]]) *
-                     vec.values[k];
-            });
-        return (lambda * labels[j] - dot -
-                lambda * n * state_.weights[j]) /
-               (lambda * n + norm_sq);
-      };
+  // closed-form delta.  The same body runs against an fp16-stored replica:
+  // gathers widen each element exactly, so only the storage rounding
+  // differs (DESIGN.md §16).
+  const auto block_delta = [&](sparse::Index j, auto shared) {
+    const auto vec = problem_->coordinate_vector(formulation_, j);
+    const double norm_sq = problem_->coordinate_squared_norm(formulation_, j);
+    if (formulation_ == Formulation::kPrimal) {
+      const double dot =
+          block_.strided_reduce(vec.nnz(), [&](std::size_t k) {
+            const auto i = vec.indices[k];
+            return (labels[i] - as_float(shared[i])) * vec.values[k];
+          });
+      return (dot - n * lambda * state_.weights[j]) / (norm_sq + n * lambda);
+    }
+    const double dot = block_.strided_reduce(vec.nnz(), [&](std::size_t k) {
+      return as_float(shared[vec.indices[k]]) * vec.values[k];
+    });
+    return (lambda * labels[j] - dot - lambda * n * state_.weights[j]) /
+           (lambda * n + norm_sq);
+  };
+  const AsyncEngine::ComputeFn compute = block_delta;
+  const AsyncEngine::ComputeHalfFn compute_half = block_delta;
   const AsyncEngine::VectorFn vec_of = [this](sparse::Index j) {
     return problem_->coordinate_vector(formulation_, j);
   };

@@ -7,9 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/async_scd.hpp"
@@ -20,8 +23,11 @@
 #include "core/threaded_scd.hpp"
 #include "core/tpa_scd.hpp"
 #include "data/generators.hpp"
+#include "linalg/half.hpp"
+#include "obs/metrics_registry.hpp"
 #include "util/aligned.hpp"
 #include "util/permutation.hpp"
+#include "util/rng.hpp"
 
 namespace tpa::core {
 namespace {
@@ -119,6 +125,274 @@ TEST(ReplicaSet, MergeFoldsDisjointDeltasAndReseeds) {
     }
   }
   EXPECT_EQ(replicas.base()[0], 11.0F);
+}
+
+// --- Dirty-line merge against the dense merge it replaced -----------------
+
+using linalg::Half;
+
+template <typename T>
+constexpr linalg::SharedPrecision kPrecisionOf =
+    std::is_same_v<T, Half> ? linalg::SharedPrecision::kFp16
+                            : linalg::SharedPrecision::kFp32;
+
+template <typename T>
+float widened(T x) {
+  if constexpr (std::is_same_v<T, Half>) {
+    return linalg::half_to_float(x);
+  } else {
+    return x;
+  }
+}
+
+template <typename T>
+T stored(float x) {
+  if constexpr (std::is_same_v<T, Half>) {
+    return linalg::float_to_half(x);
+  } else {
+    return x;
+  }
+}
+
+template <typename T>
+std::vector<T> base_copy(const ReplicaSet& replicas) {
+  if constexpr (std::is_same_v<T, Half>) {
+    return {replicas.base_half().begin(), replicas.base_half().end()};
+  } else {
+    return {replicas.base().begin(), replicas.base().end()};
+  }
+}
+
+/// base and every replica slot, copied out of a ReplicaSet.
+template <typename T>
+struct Slots {
+  std::vector<T> base;
+  std::vector<std::vector<T>> replicas;
+
+  static Slots of(const ReplicaSet& set) {
+    Slots s{base_copy<T>(set), {}};
+    for (int r = 0; r < set.count(); ++r) {
+      const auto view = set.view<T>(r);
+      s.replicas.emplace_back(view.begin(), view.end());
+    }
+    return s;
+  }
+};
+
+/// The dense merge the dirty-line merge replaced, kept as the reference:
+/// fold every replica over every entry in replica order (a lone replica is
+/// copied, widened under fp16), then reseed base and every replica over
+/// every entry from the merged vector, narrowing once under fp16.
+template <typename T>
+void dense_reference_merge(std::vector<float>& global, Slots<T>& slots) {
+  const std::size_t count = slots.replicas.size();
+  for (std::size_t r = 0; r < count; ++r) {
+    for (std::size_t i = 0; i < global.size(); ++i) {
+      const double rep = widened(slots.replicas[r][i]);
+      global[i] = count == 1
+                      ? static_cast<float>(rep)
+                      : static_cast<float>(
+                            global[i] +
+                            (rep - static_cast<double>(widened(slots.base[i]))));
+    }
+  }
+  for (std::size_t i = 0; i < global.size(); ++i) {
+    slots.base[i] = stored<T>(global[i]);
+  }
+  for (auto& rep : slots.replicas) rep = slots.base;
+}
+
+template <typename T>
+bool same_bytes(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+/// Merges `replicas` into `global` and the dense reference into a copy of
+/// the pre-merge state, then byte-compares global, base and every slot.
+template <typename T>
+void expect_merge_matches_dense(ReplicaSet& replicas,
+                                std::vector<float>& global,
+                                const std::string& where) {
+  std::vector<float> expected_global = global;
+  Slots<T> expected = Slots<T>::of(replicas);
+  dense_reference_merge(expected_global, expected);
+  replicas.merge_into(global);
+  const Slots<T> actual = Slots<T>::of(replicas);
+  EXPECT_TRUE(same_bytes(global, expected_global)) << where << ": global";
+  EXPECT_TRUE(same_bytes(actual.base, expected.base)) << where << ": base";
+  for (std::size_t r = 0; r < actual.replicas.size(); ++r) {
+    EXPECT_TRUE(same_bytes(actual.replicas[r], expected.replicas[r]))
+        << where << ": replica " << r;
+  }
+}
+
+/// A sorted, duplicate-free random index set of 1–5 entries below `dim`,
+/// with values away from zero (so no scatter can produce a −0.0).
+struct RandomRow {
+  std::vector<sparse::Index> indices;
+  std::vector<sparse::Value> values;
+
+  RandomRow(util::Rng& rng, std::size_t dim) {
+    const auto nnz = static_cast<std::size_t>(rng.uniform_int(1, 5));
+    for (std::size_t k = 0; k < nnz; ++k) {
+      indices.push_back(static_cast<sparse::Index>(rng.uniform_index(dim)));
+    }
+    std::sort(indices.begin(), indices.end());
+    indices.erase(std::unique(indices.begin(), indices.end()), indices.end());
+    for (std::size_t k = 0; k < indices.size(); ++k) {
+      values.push_back(static_cast<sparse::Value>(rng.uniform(0.5, 1.5)));
+    }
+  }
+  RandomRow(std::vector<sparse::Index> idx, float value)
+      : indices(std::move(idx)), values(indices.size(), value) {}
+
+  sparse::SparseVectorView view() const { return {indices, values}; }
+};
+
+template <typename T>
+void check_sparse_merge_equals_dense(int count, std::uint64_t seed) {
+  // 117 entries: 7.3 fp32 lines, 3.7 fp16 lines — the last line is partial.
+  constexpr std::size_t kDim = 117;
+  util::Rng rng(seed);
+  ReplicaSet replicas;
+  replicas.configure(kDim, count, kPrecisionOf<T>);
+  std::vector<float> global(kDim);
+  for (auto& x : global) x = static_cast<float>(rng.uniform(-2.0, 2.0));
+  replicas.reset_from(global);
+  const auto step = [&] { return rng.uniform(-0.5, 0.5); };
+
+  // Consecutive merges without a reset_from in between.
+  for (int round = 0; round < 6; ++round) {
+    const std::string where = "count " + std::to_string(count) + " round " +
+                              std::to_string(round);
+    // The last lane scatters nothing in odd rounds (a lone lane then
+    // writes only the last entry, below).
+    const int writers = round % 2 == 1 ? count - 1 : count;
+    for (int r = 0; r < writers; ++r) {
+      for (int k = 0; k < 3; ++k) {
+        replicas.scatter(r, step(), RandomRow(rng, kDim).view());
+      }
+    }
+    // Lane 0 writes the last entry, in the partial last line.
+    replicas.scatter(0, step(), RandomRow({kDim - 1}, 1.0F).view());
+    if (count > 1) {
+      // Two lanes write different entries of one line, then the same entry.
+      replicas.scatter(0, step(), RandomRow({33}, 1.0F).view());
+      replicas.scatter(1, step(), RandomRow({34}, 1.0F).view());
+      replicas.scatter(0, step(), RandomRow({70}, 1.0F).view());
+      replicas.scatter(count - 1, step(), RandomRow({70}, 1.0F).view());
+    }
+    expect_merge_matches_dense<T>(replicas, global, where);
+  }
+
+  // Writes through the mutable accessor are untracked: the whole slot is
+  // marked, so they still merge.
+  for (int r = 0; r < count; ++r) {
+    const std::size_t i = rng.uniform_index(kDim);
+    if constexpr (std::is_same_v<T, Half>) {
+      replicas.replica_half(r)[i] = linalg::float_to_half(
+          linalg::half_to_float(replicas.replica_half(r)[i]) + 0.25F);
+    } else {
+      replicas.replica(r)[i] += 0.25F;
+    }
+  }
+  expect_merge_matches_dense<T>(replicas, global, "mutable accessor");
+
+  // reset_from clears stale marks: lines marked before the reset must not
+  // fold again — a −0.0 there would come out +0.0, and the merge would
+  // count their entries.  (A lone fp16 replica is marked whole on purpose.)
+  replicas.scatter(0, step(), RandomRow({0, 50, kDim - 1}, 1.0F).view());
+  std::vector<float> fresh(kDim, 1.0F);
+  fresh[50] = -0.0F;
+  replicas.reset_from(fresh);
+  if (count > 1 || !std::is_same_v<T, Half>) {
+    const obs::Counter& entries =
+        obs::metrics().counter("solver.merge_entries");
+    const std::uint64_t before = entries.value();
+    replicas.merge_into(fresh);
+    EXPECT_TRUE(std::signbit(fresh[50])) << "count " << count;
+    EXPECT_EQ(entries.value(), before) << "count " << count;
+  }
+  for (auto& x : global) x = static_cast<float>(rng.uniform(-2.0, 2.0));
+  replicas.reset_from(global);
+  replicas.scatter(count - 1, step(), RandomRow({3}, 1.0F).view());
+  expect_merge_matches_dense<T>(replicas, global, "after reset");
+}
+
+TEST(ReplicaSet, SparseMergeEqualsDenseReferenceFp32) {
+  for (int count = 1; count <= 5; ++count) {
+    check_sparse_merge_equals_dense<float>(count, 100 + count);
+  }
+}
+
+TEST(ReplicaSet, SparseMergeEqualsDenseReferenceFp16) {
+  for (int count = 1; count <= 5; ++count) {
+    check_sparse_merge_equals_dense<Half>(count, 200 + count);
+  }
+}
+
+// Entries in lines no replica wrote are never touched by the merge, so a
+// −0.0 there survives; the dense merge turned it into +0.0 (−0.0 + (r − b)
+// with r − b = +0.0).  Inside a written line the fold still adds +0.0.
+TEST(ReplicaSet, MergeLeavesNegativeZeroInCleanLines) {
+  for (const auto precision :
+       {linalg::SharedPrecision::kFp32, linalg::SharedPrecision::kFp16}) {
+    ReplicaSet replicas;
+    replicas.configure(128, 2, precision);
+    std::vector<float> global(128, 1.0F);
+    global[5] = -0.0F;    // line 0, which replica 0 writes
+    global[100] = -0.0F;  // a line nobody writes
+    replicas.reset_from(global);
+    replicas.scatter(0, 0.5, RandomRow({1}, 1.0F).view());
+    replicas.merge_into(global);
+    EXPECT_EQ(global[1], 1.5F);
+    EXPECT_FALSE(std::signbit(global[5]));
+    EXPECT_TRUE(std::signbit(global[100]));
+    EXPECT_EQ(global[100], 0.0F);
+  }
+}
+
+// solver.merge_entries counts the entries a merge rewrites: the union of the
+// lines the replicas wrote, not count × dim.
+TEST(ReplicaSet, MergeEntriesCountsOnlyTheDirtyLines) {
+  constexpr std::size_t kDim = 32768;
+  constexpr std::size_t kLine = util::kCacheLineBytes / sizeof(float);
+  constexpr int kCount = 4;
+  ReplicaSet replicas;
+  replicas.configure(kDim, kCount);
+  std::vector<float> global(kDim, 1.0F);
+  replicas.reset_from(global);
+  obs::Counter& entries = obs::metrics().counter("solver.merge_entries");
+  util::Rng rng(9);
+  std::vector<bool> touched(kDim, false);
+  for (int r = 0; r < kCount; ++r) {
+    for (int k = 0; k < 5; ++k) {  // k sparse scatters per lane
+      const RandomRow row(rng, kDim);
+      for (const auto i : row.indices) touched[i] = true;
+      replicas.scatter(r, 0.5, row.view());
+    }
+  }
+  std::size_t touched_entries = 0;
+  std::size_t touched_lines = 0;
+  for (std::size_t line = 0; line < kDim / kLine; ++line) {
+    bool dirty = false;
+    for (std::size_t i = line * kLine; i < (line + 1) * kLine; ++i) {
+      touched_entries += touched[i] ? 1 : 0;
+      dirty = dirty || touched[i];
+    }
+    touched_lines += dirty ? 1 : 0;
+  }
+  const std::uint64_t before = entries.value();
+  replicas.merge_into(global);
+  const std::uint64_t counted = entries.value() - before;
+  EXPECT_LE(counted, touched_lines * kLine);
+  EXPECT_GE(counted, touched_entries);
+  EXPECT_LT(counted, kCount * kDim / 16);
+  // A merge with nothing written rewrites nothing.
+  const std::uint64_t idle_before = entries.value();
+  replicas.merge_into(global);
+  EXPECT_EQ(entries.value(), idle_before);
 }
 
 TEST(AsyncEngine, RunEpochRejectsReplicatedPolicy) {
