@@ -12,6 +12,12 @@ bool is_gpu_solver_kind(core::SolverKind kind) {
          kind == core::SolverKind::kTpaTitanX;
 }
 
+bool is_threaded_solver_kind(core::SolverKind kind) {
+  return kind == core::SolverKind::kThreadedAtomic ||
+         kind == core::SolverKind::kThreadedWild ||
+         kind == core::SolverKind::kThreadedReplicated;
+}
+
 void corrupt_in_transit(std::vector<double>& delta) {
   if (delta.empty()) return;
   std::uint64_t bits = 0;

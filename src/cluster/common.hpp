@@ -21,8 +21,8 @@
 
 namespace tpa::cluster {
 
-// Virtual trace tracks: the simulation runs on one OS thread, but the
-// exported timeline should still read as a cluster — one track for the
+// Virtual trace tracks: whichever host threads run the simulation, the
+// exported timeline should read as a cluster — one track for the
 // master's aggregation phases and one per simulated worker.  The sync and
 // async solvers use disjoint bases so a process that runs both (the
 // ablation bench) exports distinguishable timelines.
@@ -66,6 +66,8 @@ constexpr std::uint64_t model_flow_id(std::int32_t master_track, int epoch,
 }
 
 bool is_gpu_solver_kind(core::SolverKind kind);
+/// True for the `*-threads` kinds, whose epochs run on their own host pool.
+bool is_threaded_solver_kind(core::SolverKind kind);
 
 /// Simulated transit corruption: flip one mantissa bit of the first entry.
 /// Any single-bit change defeats FNV-1a, which is the point — the master

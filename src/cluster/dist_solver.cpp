@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <exception>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -104,6 +105,7 @@ DistributedSolver::DistributedSolver(const data::Dataset& global,
                       : config.local_solver;
     init_worker_core(worker->core, global, partition_, k, config.formulation,
                      config.lambda, local);
+    threaded_locals_ = threaded_locals_ || is_threaded_solver_kind(local.kind);
     workers_.push_back(std::move(worker));
   }
 
@@ -137,10 +139,83 @@ void DistributedSolver::handle_crash(Worker& worker, int index) {
   }
 }
 
+double DistributedSolver::solve_locally(Worker& worker, int index) {
+  // Broadcast: the worker starts its epoch from the master's shared vector
+  // (its local copy then diverges as it applies local updates).
+  const std::int32_t track = worker_track(kMasterTrack, index);
+  const obs::TraceSpan solve_span("dist/local_solve", track, epoch_);
+  if (epoch_ > 1) {
+    // Close the arrow from last round's broadcast: this solve consumes the
+    // γ-scaled model the master published then.
+    obs::trace_flow_end("flow/model",
+                        model_flow_id(kMasterTrack, epoch_ - 1, index), track);
+  }
+  auto& state = worker.core.solver->mutable_state();
+  state.shared.assign(shared_.begin(), shared_.end());
+  worker.weights_start = state.weights;
+  double local_seconds = 0.0;
+  for (int pass = 0; pass < config_.local_epochs_per_round; ++pass) {
+    local_seconds += worker.core.solver->run_epoch().sim_seconds;
+  }
+  // Open the delta arrow inside the solve span: the push to the master.
+  obs::trace_flow_begin("flow/delta",
+                        delta_flow_id(kMasterTrack, epoch_, index), track);
+  return local_seconds;
+}
+
+int DistributedSolver::solve_runners(const std::vector<std::size_t>& runners,
+                                     std::vector<double>& run_seconds) {
+  const auto passes =
+      static_cast<std::uint64_t>(config_.local_epochs_per_round);
+  const auto work = [&](std::size_t k) {
+    return static_cast<std::uint64_t>(workers_[k]->core.shard.nnz()) * passes;
+  };
+  std::uint64_t total_work = 0;
+  for (const std::size_t k : runners) total_work += work(k);
+  const auto& dispatch = core::pool_dispatch();
+  const int width =
+      dispatch.effective_threads(static_cast<int>(runners.size()));
+  // Both paths give the same bits: each solve reads only shared_ and writes
+  // only its own worker.  Locals that own host threads stay inline so they
+  // never oversubscribe the host.
+  if (threaded_locals_ || !dispatch.use_pool(total_work, width)) {
+    for (const std::size_t k : runners) {
+      run_seconds[k] = solve_locally(*workers_[k], static_cast<int>(k));
+    }
+    return 1;
+  }
+
+  if (!round_pool_ || round_pool_->size() < static_cast<std::size_t>(width)) {
+    round_pool_ =
+        std::make_unique<util::ThreadPool>(static_cast<std::size_t>(width));
+  }
+  // Longest first, so the slowest solve never starts last.
+  std::vector<std::size_t> order = runners;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return work(a) > work(b);
+                   });
+  std::vector<std::exception_ptr> errors(workers_.size());
+  for (const std::size_t k : order) {
+    round_pool_->submit([this, k, &run_seconds, &errors] {
+      try {
+        run_seconds[k] = solve_locally(*workers_[k], static_cast<int>(k));
+      } catch (...) {
+        errors[k] = std::current_exception();
+      }
+    });
+  }
+  round_pool_->wait_idle();
+  for (const auto& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
+  return width;
+}
+
 core::EpochReport DistributedSolver::run_epoch() {
   const util::WallTimer timer;
   ++epoch_;
-  obs::TraceSpan epoch_span("dist/epoch", kMasterTrack, epoch_);
+  obs::TraceSpan epoch_span("dist/epoch", kMasterTrack);
   obs::metrics().counter("cluster.epochs").add();
   const auto f = config_.formulation;
   const auto n = static_cast<double>(global_problem_.num_examples());
@@ -155,10 +230,12 @@ core::EpochReport DistributedSolver::run_epoch() {
   std::vector<bool> ran(num_workers, false);
   std::uint64_t updates = 0;
 
-  // ---- Phase 1: advance every worker's state machine; run the active
-  // ones.  Every worker consumes exactly `local_passes` permutations per
-  // outer epoch — run, buffered, or skipped — so that stream positions stay
-  // the pure function of the epoch counter that restore() relies on.
+  // ---- Phase 1a (plan): advance every worker's state machine, in worker
+  // order, and collect this round's runners.  Every worker consumes exactly
+  // `local_passes` permutations per outer epoch — run, buffered, or skipped
+  // — so that stream positions stay the pure function of the epoch counter
+  // that restore() relies on.
+  std::vector<std::size_t> runners;
   for (std::size_t k = 0; k < num_workers; ++k) {
     auto& worker = *workers_[k];
     const int index = static_cast<int>(k);
@@ -197,32 +274,21 @@ core::EpochReport DistributedSolver::run_epoch() {
       handle_crash(worker, index);
       continue;
     }
+    runners.push_back(k);
+  }
 
-    // Broadcast: the worker starts its epoch from the master's shared
-    // vector (its local copy then diverges as it applies local updates).
-    obs::TraceSpan solve_span("dist/local_solve",
-                              worker_track(kMasterTrack, index), epoch_);
-    if (epoch_ > 1) {
-      // Close the arrow from last round's broadcast: this solve consumes the
-      // γ-scaled model the master published then.
-      obs::trace_flow_end("flow/model",
-                          model_flow_id(kMasterTrack, epoch_ - 1, index),
-                          worker_track(kMasterTrack, index));
-    }
-    auto& state = worker.core.solver->mutable_state();
-    state.shared.assign(shared_.begin(), shared_.end());
-    worker.weights_start = state.weights;
-    double local_seconds = 0.0;
-    for (int pass = 0; pass < local_passes; ++pass) {
-      local_seconds += worker.core.solver->run_epoch().sim_seconds;
-    }
+  // ---- Phase 1b (solve): the runners' local solves, concurrently on the
+  // round pool when that is predicted to pay.  The round's host
+  // concurrency rides on the epoch span and the run report.
+  const int round_threads = solve_runners(runners, run_seconds);
+  epoch_span.set_arg(round_threads);
+  obs::metrics().gauge("cluster.round_threads").set(round_threads);
+
+  // ---- Phase 1c (book): in worker order, so Phases 2–4 see the same
+  // inputs whichever way the solves ran.
+  for (const std::size_t k : runners) {
     ran[k] = true;
-    run_seconds[k] = local_seconds;
-    updates += state.weights.size();
-    // Open the delta arrow inside the solve span: the push to the master.
-    obs::trace_flow_begin("flow/delta",
-                          delta_flow_id(kMasterTrack, epoch_, index),
-                          worker_track(kMasterTrack, index));
+    updates += workers_[k]->core.solver->state().weights.size();
   }
 
   // Phases 2–4 compute values consumed across phase boundaries, so their

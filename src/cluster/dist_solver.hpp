@@ -5,7 +5,9 @@
 // primal, by example for the dual) and a local solver — any core::Solver,
 // from sequential SCD to TPA-SCD on a simulated GPU.  Every epoch:
 //   1. the master's shared vector is broadcast to the workers;
-//   2. each worker runs one local epoch against its own copy;
+//   2. each worker runs one local epoch against its own copy — the workers
+//      concurrently on host threads when that is predicted to pay, with
+//      bit-identical results either way (DESIGN.md §8);
 //   3. shared-vector deltas (plus, for adaptive aggregation, a few scalars)
 //      are reduced to the master;
 //   4. the master scales the summed update by γ (1/contributors for
@@ -271,6 +273,18 @@ class DistributedSolver {
   };
 
   void record_event(int worker, core::ClusterEventKind kind);
+  /// One runner's local solve: the broadcast copy into the worker's own
+  /// state, the weights_start snapshot and local_epochs_per_round local
+  /// epochs.  Reads only shared_ and writes only `worker`, so runners may
+  /// solve concurrently.  Returns the simulated seconds of the local epochs.
+  double solve_locally(Worker& worker, int index);
+  /// Runs every runner's solve_locally and stores its seconds in
+  /// run_seconds[k]: on the round pool, longest first, when
+  /// core::pool_dispatch() predicts a win and no local owns host threads;
+  /// inline in worker order otherwise.  Rethrows the lowest-indexed
+  /// worker's exception.  Returns the round's host concurrency (1 inline).
+  int solve_runners(const std::vector<std::size_t>& runners,
+                    std::vector<double>& run_seconds);
   /// Crash bookkeeping: drops in-flight work, schedules the restart backoff
   /// or evicts after too many failures.
   void handle_crash(Worker& worker, int index);
@@ -282,6 +296,8 @@ class DistributedSolver {
   std::optional<placement::PlacementResult> placement_result_;
   FaultInjector injector_;
   std::vector<std::unique_ptr<Worker>> workers_;
+  bool threaded_locals_ = false;  // some local solver owns host threads
+  std::unique_ptr<util::ThreadPool> round_pool_;  // built on first use
   std::vector<float> shared_;  // the master's (global) shared vector
   EpochBreakdown last_breakdown_{};
   obs::RoundAttribution last_attr_{};

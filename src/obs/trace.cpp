@@ -34,7 +34,7 @@ struct TraceEvent {
 
 /// One ring per recording thread.  Only the owning thread writes; exporters
 /// read `recorded` with acquire so every slot published before it is
-/// visible.  kCapacity events ≈ 1.3 MB — paid only by threads that trace.
+/// visible.  kCapacity events ≈ 1.8 MB — paid only by threads that trace.
 struct ThreadBuffer {
   static constexpr std::size_t kCapacity = std::size_t{1} << 15;
 

@@ -27,8 +27,8 @@
 // Timelines ("tracks"): by default events land on the recording OS thread's
 // track.  A caller may pin events to a virtual track instead (the
 // distributed solver gives each simulated worker its own track, so the
-// per-worker solve/reduce/broadcast timeline of a fault drill is visible
-// even though the simulation runs on one thread).  Name tracks with
+// per-worker solve/reduce/broadcast timeline of a fault drill reads as a
+// cluster whichever host thread ran each solve).  Name tracks with
 // set_track_name().
 //
 // Enabling: set_trace_enabled(true) in code, or the TPA_TRACE environment
@@ -112,6 +112,9 @@ class TraceSpan {
         start_us_(name_ != nullptr ? trace_now_us() : 0.0) {}
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
+  /// Replaces the argument recorded at destruction — for a value known only
+  /// once the spanned work is under way.
+  void set_arg(std::int64_t arg) noexcept { arg_ = arg; }
   ~TraceSpan() {
     if (name_ != nullptr) {
       trace_complete(name_, start_us_, trace_now_us() - start_us_, track_,

@@ -1,14 +1,21 @@
 // The distributed engine: consistency invariants, equivalence with the
 // non-distributed solver at K=1, convergence across worker counts and
-// aggregation modes, and the timing breakdown.
+// aggregation modes, the timing breakdown, and bit-identity of pooled and
+// inline rounds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <tuple>
 
 #include "cluster/dist_solver.hpp"
+#include "core/cost_model.hpp"
 #include "core/seq_scd.hpp"
 #include "data/generators.hpp"
+#include "linalg/half.hpp"
 #include "linalg/vector_ops.hpp"
+#include "obs/metrics_registry.hpp"
+#include "obs/trace.hpp"
 
 namespace tpa::cluster {
 namespace {
@@ -310,6 +317,164 @@ TEST(RunDistributed, RecordsGammaAndStopsOnTarget) {
   for (const auto& point : trace.points()) {
     EXPECT_NE(point.gamma, 0.0);
   }
+}
+
+// --- Concurrent worker solves ---------------------------------------------
+
+/// Everything a round leaves behind that must not depend on whether the
+/// worker solves ran inline or on the round pool.
+struct RoundRecord {
+  std::vector<float> weights;
+  std::vector<float> shared;
+  std::vector<double> sim_seconds;  // per epoch
+  obs::RoundAttribution totals;
+  std::vector<core::ClusterEvent> events;
+  std::uint64_t wire_bytes = 0;
+  int round_threads = 0;  // of the last round
+};
+
+/// Runs `epochs` rounds with the dispatch model forced to inline
+/// (hardware_threads = 1) or pooled (8 threads, free dispatch) execution.
+/// With `checkpoint_at` > 0 the run is checkpointed there and continued on
+/// a freshly restored solver.
+RoundRecord run_rounds(const DistConfig& config, int epochs, bool pooled,
+                       int checkpoint_at = 0) {
+  const core::PoolDispatchModel saved = core::pool_dispatch();
+  core::PoolDispatchModel model;
+  model.hardware_threads = pooled ? 8 : 1;
+  if (pooled) {
+    model.dispatch_seconds = 0.0;
+    model.per_chunk_seconds = 0.0;
+  }
+  core::set_pool_dispatch(model);
+
+  RoundRecord record;
+  auto solver = std::make_unique<DistributedSolver>(corpus(), config);
+  for (int epoch = 1; epoch <= epochs; ++epoch) {
+    record.sim_seconds.push_back(solver->run_epoch().sim_seconds);
+    if (epoch == checkpoint_at) {
+      const auto saved_model = solver->checkpoint();
+      solver = std::make_unique<DistributedSolver>(corpus(), config);
+      solver->restore(saved_model);
+    }
+  }
+  core::set_pool_dispatch(saved);
+
+  record.weights = solver->global_weights();
+  record.shared = solver->global_shared();
+  record.totals = solver->attribution_totals();
+  record.events = solver->events();
+  record.wire_bytes = solver->delta_bytes_on_wire();
+  record.round_threads = static_cast<int>(
+      obs::metrics().gauge("cluster.round_threads").value());
+  return record;
+}
+
+void expect_identical(const RoundRecord& a, const RoundRecord& b) {
+  EXPECT_EQ(a.weights, b.weights);
+  EXPECT_EQ(a.shared, b.shared);
+  EXPECT_EQ(a.sim_seconds, b.sim_seconds);
+  EXPECT_EQ(a.totals.compute_seconds, b.totals.compute_seconds);
+  EXPECT_EQ(a.totals.host_seconds, b.totals.host_seconds);
+  EXPECT_EQ(a.totals.pcie_seconds, b.totals.pcie_seconds);
+  EXPECT_EQ(a.totals.network_seconds, b.totals.network_seconds);
+  EXPECT_EQ(a.totals.straggler_wait_seconds, b.totals.straggler_wait_seconds);
+  EXPECT_EQ(a.totals.stale_overhead_seconds, b.totals.stale_overhead_seconds);
+  ASSERT_EQ(a.events.size(), b.events.size());
+  for (std::size_t i = 0; i < a.events.size(); ++i) {
+    EXPECT_EQ(a.events[i].epoch, b.events[i].epoch) << i;
+    EXPECT_EQ(a.events[i].worker, b.events[i].worker) << i;
+    EXPECT_EQ(a.events[i].kind, b.events[i].kind) << i;
+  }
+  EXPECT_EQ(a.wire_bytes, b.wire_bytes);
+}
+
+/// Returns the inline run's record for scenario-specific checks.
+RoundRecord expect_pooled_matches_inline(const DistConfig& config, int epochs,
+                                         int checkpoint_at = 0) {
+  const RoundRecord inline_run =
+      run_rounds(config, epochs, /*pooled=*/false, checkpoint_at);
+  const RoundRecord pooled_run =
+      run_rounds(config, epochs, /*pooled=*/true, checkpoint_at);
+  // The forced models really did select each path.
+  EXPECT_EQ(inline_run.round_threads, 1);
+  EXPECT_GT(pooled_run.round_threads, 1);
+  expect_identical(inline_run, pooled_run);
+  return inline_run;
+}
+
+// Each worker's solve reads only the master's shared vector and writes only
+// its own state, so running a round's solves on the pool must leave every
+// bit — the model, the sim clock, the attribution, the fault log and the
+// wire accounting — exactly as the serial round does.
+TEST(DistributedSolver, PooledAndInlineRoundsAreBitIdentical) {
+  // Traced, so the concurrent solves also record spans, flows and metrics
+  // from the pool threads (the sanitizer jobs run this test).
+  const bool was_tracing = obs::trace_enabled();
+  obs::set_trace_enabled(true);
+
+  // A heterogeneous fleet with compressed deltas, at both shared precisions.
+  auto fleet = base_config(Formulation::kDual, 8);
+  fleet.fleet = placement::parse_fleet_spec("4xtitanx,4xcpu:4");
+  fleet.placement = placement::PlacementMode::kOptimize;
+  fleet.comm_overlap = true;
+  fleet.aggregation = AggregationMode::kAdaptive;
+  fleet.compress_deltas = true;
+  const auto saved_precision = linalg::shared_precision();
+  for (const auto precision :
+       {linalg::SharedPrecision::kFp32, linalg::SharedPrecision::kFp16}) {
+    SCOPED_TRACE(linalg::shared_precision_name(precision));
+    linalg::set_shared_precision(precision);
+    expect_pooled_matches_inline(fleet, 8);
+  }
+  linalg::set_shared_precision(saved_precision);
+
+  // Sequential workers through a scripted crash, stall, drop and corrupt.
+  {
+    SCOPED_TRACE("faults");
+    auto faulty = base_config(Formulation::kDual, 4);
+    const auto script = [&](int epoch, int worker, FaultKind kind) {
+      FaultEvent event;
+      event.epoch = epoch;
+      event.worker = worker;
+      event.kind = kind;
+      event.stall_factor = 4.0;
+      faulty.faults.scripted.push_back(event);
+    };
+    script(2, 1, FaultKind::kStall);
+    script(3, 3, FaultKind::kCrash);
+    script(4, 0, FaultKind::kDropDelta);
+    script(5, 2, FaultKind::kCorruptDelta);
+    const auto events = expect_pooled_matches_inline(faulty, 10).events;
+    for (const auto kind :
+         {core::ClusterEventKind::kDeadlineMiss,
+          core::ClusterEventKind::kLateDelta, core::ClusterEventKind::kCrash,
+          core::ClusterEventKind::kRestart,
+          core::ClusterEventKind::kDeltaDropped,
+          core::ClusterEventKind::kDeltaCorrupted}) {
+      EXPECT_TRUE(std::any_of(events.begin(), events.end(),
+                              [&](const auto& e) { return e.kind == kind; }))
+          << core::cluster_event_name(kind);
+    }
+  }
+
+  // A checkpoint at epoch 3, restored into a fresh solver and continued.
+  {
+    SCOPED_TRACE("checkpoint");
+    expect_pooled_matches_inline(base_config(Formulation::kDual, 4), 8,
+                                 /*checkpoint_at=*/3);
+  }
+
+  // Locals that own host threads keep the round inline even where the pool
+  // would win, so they never oversubscribe the host.
+  {
+    auto threaded = base_config(Formulation::kDual, 2);
+    threaded.local_solver.kind = core::SolverKind::kThreadedReplicated;
+    threaded.local_solver.threads = 2;
+    EXPECT_EQ(run_rounds(threaded, 1, /*pooled=*/true).round_threads, 1);
+  }
+  obs::set_trace_enabled(was_tracing);
+  obs::reset_trace();
 }
 
 }  // namespace

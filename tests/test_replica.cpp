@@ -464,21 +464,23 @@ TEST(ReplicatedScd, SingleThreadAutoIntervalStaysBitExact) {
 
 // Multi-worker replicated training reads stale replicas between merges, so
 // it cannot be bit-exact — but it must stay convergence-equivalent to the
-// atomic path: same order of magnitude gap at every evaluated epoch, and
-// well-converged at the end (tolerance documented in DESIGN.md §11).
-TEST(ReplicatedScd, MultiThreadGapTraceMatchesAtomicWithinTolerance) {
+// sequential solver: same order of magnitude gap at every evaluated epoch,
+// and well-converged at the end (tolerance documented in DESIGN.md §11).
+// Both arms are deterministic (replicated rounds are schedule-independent),
+// so the band cannot flake with the thread schedule the way a comparison
+// against the atomic arm did.
+TEST(ReplicatedScd, MultiThreadGapTraceMatchesSequentialWithinTolerance) {
   const RidgeProblem problem(webspam_small(), 1e-3);
-  ThreadedScdSolver atomic(problem, Formulation::kDual, 4,
-                           CommitPolicy::kAtomicAdd, 7);
+  SeqScdSolver sequential(problem, Formulation::kDual, 7);
   ThreadedScdSolver replicated(problem, Formulation::kDual, 4,
                                CommitPolicy::kReplicated, 7);
   for (int epoch = 0; epoch < 8; ++epoch) {
-    atomic.run_epoch();
+    sequential.run_epoch();
     replicated.run_epoch();
-    const double atomic_gap = atomic.duality_gap(problem);
+    const double sequential_gap = sequential.duality_gap(problem);
     const double replicated_gap = replicated.duality_gap(problem);
-    EXPECT_LT(replicated_gap, atomic_gap * 10.0) << "epoch " << epoch;
-    EXPECT_GT(replicated_gap, atomic_gap / 10.0) << "epoch " << epoch;
+    EXPECT_LT(replicated_gap, sequential_gap * 10.0) << "epoch " << epoch;
+    EXPECT_GT(replicated_gap, sequential_gap / 10.0) << "epoch " << epoch;
   }
   EXPECT_LT(replicated.duality_gap(problem), 1e-4);
 }
